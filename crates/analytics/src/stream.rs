@@ -247,11 +247,11 @@ impl StreamingDbscan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtnn::{RtnnConfig, SearchParams};
+    use rtnn::{EngineConfig, SearchParams};
     use rtnn_gpusim::Device;
 
-    fn config() -> RtnnConfig {
-        RtnnConfig::new(SearchParams::range(0.9, 64))
+    fn params() -> SearchParams {
+        SearchParams::range(0.9, 64)
     }
 
     /// Deterministic pseudo-random walk for a handful of points.
@@ -269,8 +269,8 @@ mod tests {
     #[test]
     fn relabel_matches_recluster_across_moves_inserts_and_removes() {
         let device = Device::rtx_2080();
-        let mut inc_index = DynamicIndex::new(&device, config());
-        let mut full_index = DynamicIndex::new(&device, config());
+        let mut inc_index = DynamicIndex::new(&device, EngineConfig::default(), params());
+        let mut full_index = DynamicIndex::new(&device, EngineConfig::default(), params());
         let params = Dbscan::new(0.9, 3);
         let mut inc = StreamingDbscan::new(params);
         let mut full = StreamingDbscan::new(params);
@@ -337,7 +337,7 @@ mod tests {
     #[test]
     fn unannounced_points_are_auto_seeded() {
         let device = Device::rtx_2080();
-        let mut index = DynamicIndex::new(&device, config());
+        let mut index = DynamicIndex::new(&device, EngineConfig::default(), params());
         for i in 0..8 {
             index.insert(Vec3::new(i as f32 * 0.5, 0.0, 0.0));
         }

@@ -92,8 +92,7 @@ fn bench_rtnn_opt_levels(c: &mut Criterion) {
             let plan = QueryPlan::from_params(params);
             let id = BenchmarkId::new(format!("{mode:?}"), opt.label());
             group.bench_function(id, |b| {
-                // Fresh index per iteration: the full cold-start pipeline,
-                // matching what the legacy one-shot engine measured.
+                // Fresh index per iteration: the full cold-start pipeline.
                 b.iter(|| {
                     Index::build(&backend, &f.points[..], cfg)
                         .query(&f.queries, &plan)

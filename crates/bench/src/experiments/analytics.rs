@@ -23,7 +23,7 @@
 
 use crate::report::{fmt_ms, fmt_speedup, FigureReport, Table};
 use crate::scale::ExperimentScale;
-use rtnn::{EngineConfig, GpusimBackend, Index, RtnnConfig, SearchParams};
+use rtnn::{EngineConfig, GpusimBackend, Index, SearchParams};
 use rtnn_analytics::{Dbscan, FrameChange, ReverseKnn, StreamingDbscan};
 use rtnn_baselines::{dbscan_oracle, rknn_oracle};
 use rtnn_data::dynamics::{DriftModel, DriftScene};
@@ -136,7 +136,7 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
     });
     let side = initial.bounds().longest_extent();
     let eps = density_eps(&initial.points);
-    let config = RtnnConfig::new(SearchParams::range(eps, 64));
+    let params = SearchParams::range(eps, 64);
     let mut scene = DriftScene::new(
         &initial,
         DriftModel::SphSettle {
@@ -145,8 +145,10 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
         },
         0xA11C,
     );
-    let mut inc_index = DynamicIndex::with_points(&device, config, &initial.points);
-    let mut full_index = DynamicIndex::with_points(&device, config, &initial.points);
+    let mut inc_index =
+        DynamicIndex::with_points(&device, EngineConfig::default(), params, &initial.points);
+    let mut full_index =
+        DynamicIndex::with_points(&device, EngineConfig::default(), params, &initial.points);
     let params = Dbscan::new(eps, MIN_PTS);
     let mut inc = StreamingDbscan::new(params);
     let mut full = StreamingDbscan::new(params);

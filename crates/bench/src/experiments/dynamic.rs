@@ -19,7 +19,7 @@
 
 use crate::report::{fmt_ms, FigureReport, Table};
 use crate::scale::ExperimentScale;
-use rtnn::{RtnnConfig, SearchParams};
+use rtnn::{EngineConfig, SearchParams};
 use rtnn_data::dynamics::{DriftModel, DriftScene};
 use rtnn_data::uniform::{self, UniformParams};
 use rtnn_dynamic::{DynamicIndex, RebuildPolicy};
@@ -41,7 +41,7 @@ struct StrategyRun {
 fn run_strategy(
     label: &'static str,
     device: &Device,
-    config: RtnnConfig,
+    params: SearchParams,
     policy: RebuildPolicy,
     initial: &rtnn_data::PointCloud,
     model: DriftModel,
@@ -49,7 +49,7 @@ fn run_strategy(
     query_stride: usize,
 ) -> StrategyRun {
     let mut scene = DriftScene::new(initial, model, 0xF1D0);
-    let mut index = DynamicIndex::with_policy(device, config, policy);
+    let mut index = DynamicIndex::with_policy(device, EngineConfig::default(), params, policy);
     for &p in &initial.points {
         index.insert(p);
     }
@@ -111,7 +111,6 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
     let side = initial.bounds().longest_extent();
     let radius = side * (8.0 / num_points as f32).cbrt(); // ~8 neighbors
     let params = SearchParams::range(radius, 64);
-    let config = RtnnConfig::new(params);
     let model = DriftModel::SphSettle {
         compression: 0.996,
         jitter: 0.002 * side,
@@ -127,7 +126,7 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
         run_strategy(
             "rebuild/frame",
             &device,
-            config,
+            params,
             RebuildPolicy::always_rebuild(),
             &initial,
             model,
@@ -137,7 +136,7 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
         run_strategy(
             "refit-only",
             &device,
-            config,
+            params,
             RebuildPolicy::never_rebuild(),
             &initial,
             model,
@@ -147,7 +146,7 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
         run_strategy(
             "policy",
             &device,
-            config,
+            params,
             RebuildPolicy::adaptive(),
             &initial,
             model,

@@ -9,21 +9,17 @@
 //!   heterogeneous `QueryPlan::Batch` in one call: one shared scheduling
 //!   traversal pass, one megacell grid, and one acceleration structure per
 //!   *distinct* AABB width, all cached;
-//! * **six engines** — the legacy shape: one fused single-plan engine per
+//! * **six indexes** — one freshly built single-plan `Index` per
 //!   `(radius, kind)` configuration, each paying its own global structure
 //!   build, its own grid, and its own scheduling pass.
 //!
 //! Reported: total and per-plan amortized simulated milliseconds, host
 //! wall-clock milliseconds, and structure builds — plus the speedup factor
-//! `six engines / one index` that `results/summary.json` tracks across PRs.
-
-#![allow(deprecated)] // the legacy engine is exactly the baseline measured
+//! `six indexes / one index` that `results/summary.json` tracks across PRs.
 
 use crate::report::{fmt_ms, fmt_speedup, FigureReport, Table};
 use crate::scale::ExperimentScale;
-use rtnn::{
-    EngineConfig, GpusimBackend, Index, PlanSlice, QueryPlan, Rtnn, RtnnConfig, SearchParams,
-};
+use rtnn::{EngineConfig, GpusimBackend, Index, PlanSlice, QueryPlan};
 use rtnn_data::uniform::{self, UniformParams};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
@@ -82,21 +78,19 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
     let batch_sim_ms = batch_results.total_time_ms();
     let batch_structures = index.cached_structures();
 
-    // Six fused single-plan engines (the legacy shape).
+    // Six separately built indexes, each answering one plan.
     let mut engines_sim_ms = 0.0;
     let mut engines_bvh_ms = 0.0;
     let host_start = std::time::Instant::now();
     for slice in &slices {
-        let params: SearchParams = slice.plan.params().expect("non-batch slice");
         let slice_queries: Vec<Vec3> = slice
             .query_ids
             .iter()
             .map(|&q| queries[q as usize])
             .collect();
-        let engine = Rtnn::new(&device, RtnnConfig::new(params));
-        let results = engine
-            .search(&points, &slice_queries)
-            .expect("per-plan engine fits the device");
+        let results = Index::build(&backend, &points[..], EngineConfig::default())
+            .query(&slice_queries, &slice.plan)
+            .expect("per-plan index fits the device");
         engines_sim_ms += results.total_time_ms();
         engines_bvh_ms += results.breakdown.bvh_ms;
     }
@@ -130,7 +124,7 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
         fmt_ms(batch_host_ms / num_plans),
     ]);
     table.push_row(vec![
-        "six single-plan engines".into(),
+        "six single-plan indexes".into(),
         fmt_ms(engines_sim_ms),
         fmt_ms(engines_sim_ms / num_plans),
         fmt_ms(engines_bvh_ms),
@@ -148,7 +142,7 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
     report.headline_metric("batch_cached_structures", batch_structures as f64);
     report.notes.push(format!(
         "one Index answering the heterogeneous batch costs {:.2} ms simulated \
-         ({:.2} ms/plan) vs {:.2} ms ({:.2} ms/plan) for six fused engines — \
+         ({:.2} ms/plan) vs {:.2} ms ({:.2} ms/plan) for six single-plan indexes — \
          {} amortized; structure-build time {:.2} ms vs {:.2} ms \
          ({} cached structures serve all 6 plans, and later batches on the \
          same index pay zero build)",
@@ -163,7 +157,7 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
     ));
     report.notes.push(
         "the batch shares one first-hit scheduling pass and one megacell grid; \
-         the six engines each pay their own global build, grid and scheduling pass"
+         the six indexes each pay their own global build, grid and scheduling pass"
             .into(),
     );
     report

@@ -21,6 +21,14 @@ use rtnn::{
 use rtnn_data::DatasetName;
 use rtnn_gpusim::Device;
 
+/// The stage with the largest share and that share (the first on ties).
+fn dominant_stage(shares: &[(&'static str, f64)]) -> (&'static str, f64) {
+    shares.iter().copied().fold(
+        ("", f64::NEG_INFINITY),
+        |best, s| if s.1 > best.1 { s } else { best },
+    )
+}
+
 /// One cold-index run (structure builds included, matching Figure 12's
 /// accounting) with the given per-call stage overrides.
 fn run_once(
@@ -98,6 +106,14 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
             );
         }
         report.tables.push(shares);
+        let (knn_stage, knn_share) = dominant_stage(&knn_shares);
+        let (range_stage, range_share) = dominant_stage(&range_shares);
+        report.notes.push(format!(
+            "{}: {knn_stage} dominates KNN ({:.1}% of simulated time), {range_stage} dominates range ({:.1}%)",
+            workload.name,
+            knn_share * 100.0,
+            range_share * 100.0
+        ));
 
         // Toggle exactly one stage per call on an otherwise fully-optimised
         // engine — what StageOverrides adds over the cumulative OptLevels.
@@ -162,10 +178,6 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
         }
     }
 
-    report.notes.push(
-        "Launch dominates end to end; Schedule's FS pass and the Partition megacell kernel stay small — the same shape as the paper's Figure 12 `Opt`/`FS` slivers"
-            .into(),
-    );
     report
 }
 
@@ -189,6 +201,31 @@ mod tests {
         assert!(report.headline.iter().any(|(n, v)| n
             == "regression_watch_nbody_9m_range_full_speedup_vs_noopt"
             && *v > 0.0));
+        // Each dataset's note names the stage with the largest measured
+        // share in its table, per mode.
+        let dominant_notes: Vec<&String> = report
+            .notes
+            .iter()
+            .filter(|n| n.contains(" dominates "))
+            .collect();
+        assert_eq!(dominant_notes.len(), 2, "one note per dataset");
+        for (table, note) in report.tables.iter().step_by(2).zip(dominant_notes) {
+            for (column, mode) in [(2, "KNN"), (4, "range")] {
+                let share = |row: &Vec<String>| -> f64 {
+                    row[column].trim_end_matches('%').parse().unwrap()
+                };
+                let top = table.rows.iter().map(share).fold(f64::MIN, f64::max);
+                assert!(
+                    table
+                        .rows
+                        .iter()
+                        .filter(|row| share(row) == top)
+                        .any(|row| note.contains(&format!("{} dominates {mode}", row[0]))),
+                    "{note:?} must name the stage with the largest {mode} share in {}",
+                    table.title
+                );
+            }
+        }
     }
 
     #[test]

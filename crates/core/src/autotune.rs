@@ -46,8 +46,7 @@
 //! prices builds explicitly for the cold start.
 
 use crate::cost_model::CostCoefficients;
-use crate::engine::OptLevel;
-use crate::pipeline::StageOverrides;
+use crate::pipeline::{OptLevel, StageOverrides};
 use rtnn_telemetry::{density_bucket, ProfileSnapshot};
 use std::collections::BTreeMap;
 

@@ -5,16 +5,17 @@
 //! The engine pipeline (scheduling, partitioning, bundling) is
 //! backend-agnostic: it decides *what* to traverse and hands each launch to
 //! a [`Backend`], which owns *how* the traversal executes and what
-//! structures back it. Three implementations ship:
+//! structures back it. Two implementations ship:
 //!
-//! * [`GpusimBackend`] — the default: traversals run on the simulated
-//!   Turing-class device through the OptiX-like pipeline, with full
-//!   microarchitectural metrics and SAH quality introspection.
-//! * [`OptixBackend`] — the integration shim for a real OptiX 7 device.
-//!   Without an RTX card in the loop it executes on the same simulated
-//!   pipeline (bit-identical results), but it honours the hardware
-//!   contract: the acceleration structure is opaque — no BVH or SAH
+//! * [`GpusimBackend`] — the ray-tracing backend: traversals run on the
+//!   simulated Turing-class device through the OptiX-like pipeline, with
+//!   full microarchitectural metrics. [`GpusimBackend::new`] exposes the
+//!   BVH for SAH quality introspection; [`GpusimBackend::opaque`] is the
+//!   integration shim for a real OptiX 7 device, honouring the hardware
+//!   contract that the acceleration structure is opaque — no BVH or SAH
 //!   introspection — exactly what `optixAccelBuild` would hand back.
+//!   Both run the same simulated pipeline, so their results are
+//!   bit-identical.
 //! * `BruteForceBackend` (in `rtnn-baselines`) — keeps no structure and
 //!   answers every traversal by exhaustive scan over the mapping semantics
 //!   ([`exhaustive_traverse`]); it doubles as the oracle the cross-backend
@@ -128,8 +129,7 @@ fn point_aabbs(points: &[Vec3], width: f32) -> Vec<Aabb> {
 }
 
 /// Run `job` against a BVH-backed structure through the OptiX-like
-/// pipeline. Shared by the two ray-tracing backends so their results are
-/// bit-identical by construction.
+/// pipeline.
 fn pipeline_traverse(device: &Device, gas: &Gas, job: &TraversalJob<'_>) -> Traversal {
     let pipeline = Pipeline::new(device);
     let n = job.query_ids.len();
@@ -319,79 +319,47 @@ pub fn exhaustive_traverse(
     Traversal { payloads, metrics }
 }
 
-/// The default backend: traversals execute on the simulated Turing-class
-/// device through the OptiX-like pipeline, with full metrics and SAH
-/// quality introspection.
+/// The ray-tracing backend: traversals execute on the simulated
+/// Turing-class device through the OptiX-like pipeline, with full metrics.
 #[derive(Debug, Clone, Copy)]
 pub struct GpusimBackend<'d> {
     device: &'d Device,
+    /// Wrap built structures opaquely (no BVH or SAH introspection).
+    opaque: bool,
 }
 
 impl<'d> GpusimBackend<'d> {
-    /// A backend on `device`.
+    /// The default backend on `device`, with SAH quality introspection.
     pub fn new(device: &'d Device) -> Self {
-        GpusimBackend { device }
+        GpusimBackend {
+            device,
+            opaque: false,
+        }
+    }
+
+    /// The integration shim for a real OptiX 7 device (named
+    /// `"optix-shim"`): same launch semantics and bit-identical results as
+    /// [`GpusimBackend::new`] (without an RTX card the rays execute on the
+    /// same simulated pipeline), but built structures are opaque, with no
+    /// BVH or SAH introspection, so quality-driven policies fall back to
+    /// their introspection-free behaviour.
+    pub fn opaque(device: &'d Device) -> Self {
+        GpusimBackend {
+            device,
+            opaque: true,
+        }
     }
 }
 
 impl<'d> Backend for GpusimBackend<'d> {
     fn name(&self) -> &'static str {
-        "gpusim"
-    }
-
-    fn device(&self) -> &Device {
-        self.device
-    }
-
-    fn build(
-        &self,
-        points: &[Vec3],
-        aabb_width: f32,
-        build: BuildParams,
-    ) -> Result<Accel, OutOfDeviceMemory> {
-        let gas = Gas::build(self.device, &point_aabbs(points, aabb_width), build)?;
-        Ok(Accel::from_gas(gas, aabb_width))
-    }
-
-    fn refit(&self, accel: &mut Accel, points: &[Vec3]) -> Option<RefitOutcome> {
-        accel.refit_in_place(self.device, points)
-    }
-
-    fn traverse(&self, accel: AccelRef<'_>, job: &TraversalJob<'_>) -> Traversal {
-        match accel {
-            AccelRef::Gas { gas, .. } => pipeline_traverse(self.device, gas, job),
-            flat @ AccelRef::Flat { .. } => exhaustive_traverse(self.device, flat, job),
+        if self.opaque {
+            "optix-shim"
+        } else {
+            "gpusim"
         }
     }
 
-    fn timing(&self, num_prims: usize) -> StructureTiming {
-        self.device.structure_timing(num_prims)
-    }
-}
-
-/// The integration shim for a real OptiX 7 device: same launch semantics
-/// and bit-identical results as [`GpusimBackend`] (without an RTX card the
-/// rays execute on the same simulated pipeline), but the acceleration
-/// structure honours the hardware contract — it is opaque, with no BVH or
-/// SAH introspection, so quality-driven policies fall back to their
-/// introspection-free behaviour.
-#[derive(Debug, Clone, Copy)]
-pub struct OptixBackend<'d> {
-    device: &'d Device,
-}
-
-impl<'d> OptixBackend<'d> {
-    /// A backend on `device`.
-    pub fn new(device: &'d Device) -> Self {
-        OptixBackend { device }
-    }
-}
-
-impl<'d> Backend for OptixBackend<'d> {
-    fn name(&self) -> &'static str {
-        "optix-shim"
-    }
-
     fn device(&self) -> &Device {
         self.device
     }
@@ -403,7 +371,11 @@ impl<'d> Backend for OptixBackend<'d> {
         build: BuildParams,
     ) -> Result<Accel, OutOfDeviceMemory> {
         let gas = Gas::build(self.device, &point_aabbs(points, aabb_width), build)?;
-        Ok(Accel::from_gas_opaque(gas, aabb_width))
+        Ok(if self.opaque {
+            Accel::from_gas_opaque(gas, aabb_width)
+        } else {
+            Accel::from_gas(gas, aabb_width)
+        })
     }
 
     fn refit(&self, accel: &mut Accel, points: &[Vec3]) -> Option<RefitOutcome> {
@@ -447,7 +419,7 @@ mod tests {
         let ids = identity(queries.len());
         let backends: Vec<Box<dyn Backend + '_>> = vec![
             Box::new(GpusimBackend::new(&device)),
-            Box::new(OptixBackend::new(&device)),
+            Box::new(GpusimBackend::opaque(&device)),
         ];
         let job = TraversalJob {
             points: &points,
@@ -461,6 +433,7 @@ mod tests {
             results.push(b.traverse(accel.as_ref(), &job).payloads);
         }
         assert_eq!(results[0], results[1], "gpusim and optix shim must agree");
+        assert_eq!(backends[1].name(), "optix-shim");
     }
 
     #[test]

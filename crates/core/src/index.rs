@@ -1,10 +1,8 @@
 //! The persistent [`Index`]: build the scene-side state once, answer many
 //! typed [`QueryPlan`]s against it.
 //!
-//! The legacy `Rtnn` engine fused scene and query: one `(radius, K, mode)`
-//! was baked into the engine at construction, so every new radius or K
-//! meant a new engine and a redundant structure rebuild. The two-level API
-//! splits them:
+//! Scene-side state and per-query parameters are split, so a new radius
+//! or K never means a new engine or a redundant structure rebuild:
 //!
 //! * [`Index`] — built once from points (or adopted from a streaming
 //!   `DynamicIndex`), owning the acceleration structures (one per AABB
@@ -42,19 +40,18 @@ use crate::approx::ApproxMode;
 use crate::autotune::{AutoTuner, TunerDecision, Tuning};
 use crate::backend::{Accel, AccelRef, Backend};
 use crate::cost_model::CostCoefficients;
-use crate::engine::{OptLevel, SearchError};
 use crate::megacell::MegacellGrid;
 use crate::partition::{KnnAabbRule, MegacellCache};
 use crate::pipeline::{
-    host_ms_since, ExecutionPipeline, GatheredHits, PipelineTrace, ScheduleCx, StageKind,
+    host_ms_since, ExecutionPipeline, GatheredHits, OptLevel, PipelineTrace, ScheduleCx, StageKind,
     StageOverrides,
 };
-use crate::plan::{PlanError, PlanSlice, QueryPlan};
+use crate::plan::{PlanError, PlanSlice, QueryPlan, SearchError};
 use crate::result::{SearchParams, SearchResults, TimeBreakdown};
 use rtnn_bvh::BuildParams;
 use rtnn_gpusim::kernel::point_cloud_bytes;
 use rtnn_math::{Aabb, Vec3};
-use rtnn_optix::{Gas, LaunchMetrics};
+use rtnn_optix::LaunchMetrics;
 use rtnn_parallel::par_map_collect;
 use rtnn_telemetry::{ProfileSample, Telemetry};
 use std::borrow::Cow;
@@ -144,7 +141,12 @@ impl EngineConfig {
     /// assembled by hand are additionally rejected with
     /// [`PlanError::ZeroGridBudget`] at query time.)
     pub fn with_grid_max_cells(mut self, cells: usize) -> Self {
-        self.grid_max_cells = checked_grid_budget(cells);
+        assert!(
+            cells >= 1,
+            "error: grid_max_cells must be a positive cell budget, got 0 \
+             (the megacell pass needs at least one grid cell)"
+        );
+        self.grid_max_cells = cells;
         self
     }
 
@@ -159,18 +161,6 @@ impl EngineConfig {
     }
 }
 
-/// Shared builder-side rejection of a zero grid budget (used by both
-/// [`EngineConfig::with_grid_max_cells`] and the legacy
-/// `RtnnConfig::with_grid_max_cells`).
-pub(crate) fn checked_grid_budget(cells: usize) -> usize {
-    assert!(
-        cells >= 1,
-        "error: grid_max_cells must be a positive cell budget, got 0 \
-         (the megacell pass needs at least one grid cell)"
-    );
-    cells
-}
-
 // ---------------------------------------------------------------------------
 // Structure cache
 // ---------------------------------------------------------------------------
@@ -178,33 +168,24 @@ pub(crate) fn checked_grid_budget(cells: usize) -> usize {
 enum StoreEntry<'a> {
     Owned(Accel),
     Shared(&'a Accel),
-    SharedGas { gas: &'a Gas, aabb_width: f32 },
 }
 
 impl<'a> StoreEntry<'a> {
-    fn aabb_width_bits(&self) -> u32 {
+    fn accel(&self) -> &Accel {
         match self {
-            StoreEntry::Owned(a) => a.aabb_width().to_bits(),
-            StoreEntry::Shared(a) => a.aabb_width().to_bits(),
-            StoreEntry::SharedGas { aabb_width, .. } => aabb_width.to_bits(),
+            StoreEntry::Owned(a) => a,
+            StoreEntry::Shared(a) => a,
         }
     }
 
-    fn accel_ref(&self) -> AccelRef<'_> {
-        match self {
-            StoreEntry::Owned(a) => a.as_ref(),
-            StoreEntry::Shared(a) => a.as_ref(),
-            StoreEntry::SharedGas { gas, aabb_width } => AccelRef::Gas {
-                gas,
-                aabb_width: *aabb_width,
-            },
-        }
+    fn aabb_width_bits(&self) -> u32 {
+        self.accel().aabb_width().to_bits()
     }
 }
 
 /// A width-keyed cache of acceleration structures: the index's global
 /// structure per plan radius plus the per-partition structures, owned or
-/// adopted (borrowed from a streaming index / prepared scene).
+/// adopted (borrowed from a streaming index).
 pub(crate) struct AccelStore<'a> {
     entries: Vec<StoreEntry<'a>>,
 }
@@ -221,17 +202,12 @@ impl<'a> AccelStore<'a> {
         self.entries.push(StoreEntry::Shared(accel));
     }
 
-    /// Adopt a caller-owned raw GAS built at `aabb_width`.
-    pub(crate) fn adopt_gas(&mut self, gas: &'a Gas, aabb_width: f32) {
-        self.entries.push(StoreEntry::SharedGas { gas, aabb_width });
-    }
-
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     pub(crate) fn accel_ref(&self, id: usize) -> AccelRef<'_> {
-        self.entries[id].accel_ref()
+        self.entries[id].accel().as_ref()
     }
 
     /// Get the structure for `aabb_width`, building (and charging) it on a
@@ -294,8 +270,8 @@ impl<'a> AccelStore<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared execution core (used by Index::query and the legacy Rtnn shims):
-// the staged pipeline in `crate::pipeline`, driven over this scene state.
+// Shared execution core: the staged pipeline in `crate::pipeline`, driven
+// over this scene state.
 // ---------------------------------------------------------------------------
 
 /// Caller-maintained scene state handed to one execution.
@@ -310,19 +286,6 @@ pub(crate) struct SceneRefs<'s> {
     pub dirty_region: Aabb,
     /// Per-query megacell cache, updated in place.
     pub cache: Option<&'s mut MegacellCache>,
-}
-
-impl SceneRefs<'_> {
-    /// No prebuilt state: build everything from scratch (the legacy batch
-    /// path).
-    pub(crate) fn fresh() -> Self {
-        SceneRefs {
-            structure_ms: 0.0,
-            grid: None,
-            dirty_region: Aabb::EMPTY,
-            cache: None,
-        }
-    }
 }
 
 fn empty_results(
@@ -583,10 +546,9 @@ impl<'a> Index<'a> {
     ///
     /// The plan is normalized ([`QueryPlan::normalized`]: nested batches
     /// flattened, same-parameter slices merged) and then validated
-    /// ([`PlanError`] names the offending field). Single plans are
-    /// bit-identical to what the legacy one-engine-per-config path
-    /// returned; [`QueryPlan::Batch`] answers heterogeneous plans in one
-    /// call, sharing a single scheduling pass and every cached structure.
+    /// ([`PlanError`] names the offending field). [`QueryPlan::Batch`]
+    /// answers heterogeneous plans in one call, sharing a single scheduling
+    /// pass and every cached structure.
     pub fn query(
         &mut self,
         queries: &[Vec3],
@@ -992,6 +954,175 @@ mod tests {
         pts
     }
 
+    fn grid_points(n_per_axis: usize, spacing: f32) -> Vec<Vec3> {
+        let mut pts = Vec::new();
+        for x in 0..n_per_axis {
+            for y in 0..n_per_axis {
+                for z in 0..n_per_axis {
+                    pts.push(Vec3::new(x as f32, y as f32, z as f32) * spacing);
+                }
+            }
+        }
+        pts
+    }
+
+    /// One plan on a freshly built index.
+    fn run(
+        params: SearchParams,
+        config: EngineConfig,
+        points: &[Vec3],
+        queries: &[Vec3],
+    ) -> SearchResults {
+        let device = Device::rtx_2080();
+        let backend = GpusimBackend::new(&device);
+        Index::build(&backend, points, config)
+            .query(queries, &QueryPlan::from_params(params))
+            .unwrap()
+    }
+
+    fn at(opt: OptLevel) -> EngineConfig {
+        EngineConfig::default().with_opt(opt)
+    }
+
+    #[test]
+    fn single_plans_match_the_oracle_at_every_opt_level() {
+        let range_points = grid_points(7, 1.0);
+        let knn_points = grid_points(7, 0.5);
+        let cases = [
+            (SearchParams::range(1.6, 64), &range_points, 3),
+            (SearchParams::knn(1.2, 10), &knn_points, 5),
+        ];
+        for (params, points, stride) in cases {
+            let queries: Vec<Vec3> = points.iter().step_by(stride).copied().collect();
+            for opt in OptLevel::all() {
+                let results = run(params, at(opt), points, &queries);
+                check_all(points, &queries, &params, &results.neighbors)
+                    .unwrap_or_else(|(q, e)| panic!("{params:?} {opt:?}, query {q}: {e}"));
+            }
+        }
+    }
+
+    #[test]
+    fn range_search_respects_the_k_cap() {
+        let points = grid_points(6, 0.3);
+        let queries = vec![Vec3::new(0.9, 0.9, 0.9)];
+        let params = SearchParams::range(1.0, 5);
+        let results = run(params, EngineConfig::default(), &points, &queries);
+        assert_eq!(results.neighbors[0].len(), 5);
+        check_all(&points, &queries, &params, &results.neighbors).unwrap();
+    }
+
+    #[test]
+    fn breakdown_components_reflect_the_opt_level() {
+        let points = grid_points(8, 1.0);
+        let queries = points.clone();
+        let params = SearchParams::knn(2.0, 8);
+        let noopt = run(params, at(OptLevel::NoOpt), &points, &queries);
+        assert_eq!(noopt.breakdown.fs_ms, 0.0);
+        assert_eq!(noopt.breakdown.opt_ms, 0.0);
+        assert_eq!(noopt.num_partitions, 1);
+        let sched = run(params, at(OptLevel::Sched), &points, &queries);
+        assert!(sched.breakdown.fs_ms > 0.0);
+        assert!(sched.breakdown.opt_ms > 0.0);
+        let full = run(params, at(OptLevel::Full), &points, &queries);
+        assert!(full.num_partitions >= 1);
+        assert!(full.num_bundles <= full.num_partitions);
+        assert!(full.breakdown.total_ms() > 0.0);
+        assert!(full.breakdown.data_ms > 0.0);
+    }
+
+    #[test]
+    fn partitioning_reduces_is_calls_on_dense_clouds() {
+        // Observation 2 turned into the Section 5 optimisation: per-partition
+        // AABBs are smaller than 2r, so the search does fewer IS calls.
+        let points = grid_points(10, 0.25);
+        let queries = points.clone();
+        let params = SearchParams::knn(2.0, 8);
+        let sched = run(params, at(OptLevel::Sched), &points, &queries);
+        let part = run(params, at(OptLevel::SchedPartition), &points, &queries);
+        assert!(
+            part.search_metrics.is_calls < sched.search_metrics.is_calls,
+            "partitioned {} vs global {}",
+            part.search_metrics.is_calls,
+            sched.search_metrics.is_calls
+        );
+        check_all(&points, &queries, &params, &part.neighbors)
+            .unwrap_or_else(|(q, e)| panic!("query {q}: {e}"));
+    }
+
+    #[test]
+    fn approximate_modes_trade_recall_for_speed_within_bounds() {
+        let points = grid_points(8, 0.5);
+        let queries: Vec<Vec3> = points.iter().step_by(7).copied().collect();
+        let params = SearchParams::range(1.0, 1000);
+        let sched = at(OptLevel::Sched);
+        let exact = run(params, sched, &points, &queries);
+        // Shrunken AABBs: subset of the exact result, never outside r.
+        let shrunk = run(
+            params,
+            sched.with_approx(ApproxMode::ShrunkenAabb { factor: 0.6 }),
+            &points,
+            &queries,
+        );
+        for (qi, q) in queries.iter().enumerate() {
+            let exact_set: std::collections::HashSet<u32> =
+                exact.neighbors[qi].iter().copied().collect();
+            for &id in &shrunk.neighbors[qi] {
+                assert!(exact_set.contains(&id));
+                assert!(q.distance(points[id as usize]) < params.radius);
+            }
+            assert!(shrunk.neighbors[qi].len() <= exact.neighbors[qi].len());
+        }
+        // Skipped sphere test: superset within sqrt(3) * r.
+        let skipped = run(
+            params,
+            sched.with_approx(ApproxMode::SkipSphereTest),
+            &points,
+            &queries,
+        );
+        let bound = ApproxMode::SkipSphereTest.distance_bound(params.radius) + 1e-5;
+        for (qi, q) in queries.iter().enumerate() {
+            assert!(skipped.neighbors[qi].len() >= exact.neighbors[qi].len());
+            for &id in &skipped.neighbors[qi] {
+                assert!(q.distance(points[id as usize]) <= bound);
+            }
+        }
+        // And it does less shader work than the exact search.
+        assert!(skipped.search_metrics.kernel.sm_cycles < exact.search_metrics.kernel.sm_cycles);
+    }
+
+    #[test]
+    fn knn_heuristic_rules_still_produce_bounded_results() {
+        // The paper's equi-volume heuristic is not guaranteed exact, but all
+        // returned neighbors must respect the radius bound and count cap.
+        let points = grid_points(8, 0.5);
+        let queries: Vec<Vec3> = points.iter().step_by(3).copied().collect();
+        let params = SearchParams::knn(1.5, 6);
+        let config = EngineConfig::default().with_knn_rule(KnnAabbRule::EquiVolume);
+        let results = run(params, config, &points, &queries);
+        for (qi, q) in queries.iter().enumerate() {
+            assert!(results.neighbors[qi].len() <= params.k);
+            for &id in &results.neighbors[qi] {
+                assert!(q.distance(points[id as usize]) < params.radius);
+            }
+        }
+    }
+
+    #[test]
+    fn oom_is_reported_for_clouds_that_do_not_fit() {
+        let device = Device::tiny_test_device(); // 256 MB
+        let backend = GpusimBackend::new(&device);
+        // 100k queries * 1M results would need hundreds of GB; the footprint
+        // check fires before any allocation happens host-side.
+        let points = [Vec3::ZERO; 8];
+        let queries = vec![Vec3::ZERO; 100_000];
+        let mut index = Index::build(&backend, &points[..], EngineConfig::default());
+        assert!(matches!(
+            index.query(&queries, &QueryPlan::knn(1.0, 1_000_000)),
+            Err(SearchError::OutOfDeviceMemory(_))
+        ));
+    }
+
     #[test]
     fn repeated_queries_amortise_structure_builds() {
         let device = Device::rtx_2080();
@@ -1163,6 +1294,14 @@ mod tests {
                 .unwrap_err(),
             SearchError::InvalidPlan(PlanError::ZeroGridBudget)
         );
+
+        // So is an out-of-range approximation parameter.
+        let bad_approx =
+            EngineConfig::default().with_approx(ApproxMode::ShrunkenAabb { factor: 2.0 });
+        let err = Index::build(&backend, &points[..], bad_approx)
+            .query(&[Vec3::ZERO], &QueryPlan::range(1.0, 4))
+            .unwrap_err();
+        assert!(err.to_string().contains("invalid configuration"));
     }
 
     #[test]

@@ -33,8 +33,9 @@
 //! [`Index`] once over the points, then answer typed [`QueryPlan`]s
 //! against it — different radii, Ks and variants, even a heterogeneous
 //! [`QueryPlan::Batch`] in one call — on a pluggable [`Backend`]
-//! ([`GpusimBackend`] by default, [`OptixBackend`] as the real-hardware
-//! shim, `BruteForceBackend` in `rtnn-baselines` as the oracle).
+//! ([`GpusimBackend::new`] by default, [`GpusimBackend::opaque`] as the
+//! real-hardware shim, `BruteForceBackend` in `rtnn-baselines` as the
+//! oracle).
 //!
 //! ```
 //! use rtnn::{EngineConfig, GpusimBackend, Index, QueryPlan};
@@ -57,16 +58,12 @@
 //! assert!(knn.breakdown.total_ms() > 0.0);
 //! assert_eq!(rng.neighbors.len(), queries.len());
 //! ```
-//!
-//! The legacy single-plan engine ([`Rtnn`]) remains as a deprecated shim
-//! over the same execution core; see the README migration table.
 
 pub mod approx;
 pub mod autotune;
 pub mod backend;
 pub mod bundling;
 pub mod cost_model;
-pub mod engine;
 pub mod index;
 pub mod megacell;
 pub mod partition;
@@ -80,17 +77,18 @@ pub mod verify;
 pub use approx::ApproxMode;
 pub use autotune::{AutoTuner, DecisionSource, TunerDecision, TunerReport, Tuning};
 pub use backend::{
-    exhaustive_traverse, Accel, AccelRef, Backend, GpusimBackend, OptixBackend, RefitOutcome,
-    Traversal, TraversalJob, TraversalKind,
+    exhaustive_traverse, Accel, AccelRef, Backend, GpusimBackend, RefitOutcome, Traversal,
+    TraversalJob, TraversalKind,
 };
 pub use bundling::{apply_bundles, plan_bundles, BundlePlan};
 pub use cost_model::CostCoefficients;
-pub use engine::{OptLevel, PreparedMegacells, PreparedScene, Rtnn, RtnnConfig, SearchError};
 pub use index::{AdoptedScene, EngineConfig, Index};
 pub use megacell::{GridRefresh, MegacellGrid, MegacellResult};
 pub use partition::{KnnAabbRule, MegacellCache, Partition, PartitionSet};
-pub use pipeline::{ExecutionPipeline, PipelineTrace, StageKind, StageOverrides, StageTiming};
-pub use plan::{PlanError, PlanSlice, QueryPlan};
+pub use pipeline::{
+    ExecutionPipeline, OptLevel, PipelineTrace, StageKind, StageOverrides, StageTiming,
+};
+pub use plan::{PlanError, PlanSlice, QueryPlan, SearchError};
 pub use result::{SearchMode, SearchParams, SearchResults, ShardMerge, TimeBreakdown};
 pub use rtnn_gpusim::StructureTiming;
 pub use rtnn_optix::LaunchMetrics;

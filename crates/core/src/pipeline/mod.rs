@@ -31,7 +31,6 @@
 //! * [`Index::query`](crate::Index::query) (and the heterogeneous batch
 //!   path, which runs one shared `Schedule` pass and then the per-slice
 //!   stages);
-//! * the deprecated legacy [`Rtnn`](crate::Rtnn) shims;
 //! * `rtnn-dynamic`'s `DynamicIndex` frames (through `Index::adopt`);
 //! * `rtnn-serve`'s `ShardedIndex` (the pipeline per shard, then the shared
 //!   [`ShardMerge`](crate::ShardMerge) gather).
@@ -77,10 +76,10 @@ pub use stages::{
 pub use timing::{PipelineTrace, StageKind, StageTiming};
 
 use crate::backend::Backend;
-use crate::engine::{OptLevel, SearchError};
 use crate::index::{AccelStore, EngineConfig, SceneRefs};
 use crate::megacell::MegacellGrid;
 use crate::partition::MegacellCache;
+use crate::plan::SearchError;
 use crate::result::{SearchParams, SearchResults, TimeBreakdown};
 use rtnn_gpusim::kernel::point_cloud_bytes;
 use rtnn_math::{Aabb, Vec3};
@@ -95,6 +94,60 @@ static MEGACELL_UNBUNDLED: MegacellPartition = MegacellPartition { bundle: false
 static SINGLE_PARTITION: SinglePartition = SinglePartition;
 static SEARCH_LAUNCH: SearchLaunch = SearchLaunch;
 static SCATTER_GATHER: ScatterGather = ScatterGather;
+
+/// Which of the paper's optimisations are enabled — the five configurations
+/// compared in Figure 13 (the `Oracle` variant is an exhaustive search over
+/// these configurations and lives in the bench harness). Each level is a
+/// preset stage selection (see the module docs and
+/// [`StageOverrides::for_level`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub enum OptLevel {
+    /// The basic mapping only (Section 3.1); equivalent to the FastRNN
+    /// baseline for KNN.
+    NoOpt,
+    /// Plus spatially-ordered query scheduling (Section 4).
+    Sched,
+    /// Plus query partitioning with one BVH per partition (Section 5.1).
+    SchedPartition,
+    /// Plus partition bundling with the analytical cost model (Section 5.2).
+    /// The default.
+    #[default]
+    Full,
+}
+
+impl OptLevel {
+    /// All levels in ascending order (used by the ablation bench).
+    pub fn all() -> [OptLevel; 4] {
+        [
+            OptLevel::NoOpt,
+            OptLevel::Sched,
+            OptLevel::SchedPartition,
+            OptLevel::Full,
+        ]
+    }
+
+    /// Label used in figures and reports.
+    pub fn label(&self) -> &'static str {
+        match self {
+            OptLevel::NoOpt => "NoOpt",
+            OptLevel::Sched => "Sched.",
+            OptLevel::SchedPartition => "Sched.+Partition",
+            OptLevel::Full => "Sched.+Partition+Bundle",
+        }
+    }
+
+    pub(crate) fn scheduling(&self) -> bool {
+        *self >= OptLevel::Sched
+    }
+
+    pub(crate) fn partitioning(&self) -> bool {
+        *self >= OptLevel::SchedPartition
+    }
+
+    pub(crate) fn bundling(&self) -> bool {
+        *self >= OptLevel::Full
+    }
+}
 
 /// Per-call stage replacements for one pipeline execution (see the module
 /// docs). `None` slots fall back to the defaults the engine's
@@ -202,8 +255,8 @@ impl StageOverrides<'_> {
 /// set of stage selections. Constructed per call (it is two references and
 /// four optional references); a plan's parameters are executed through it.
 ///
-/// All public entry points — `Index::query`, the legacy `Rtnn` shims, the
-/// dynamic frames, the sharded server — bottom out here.
+/// All public entry points — `Index::query`, the dynamic frames, the
+/// sharded server — bottom out here.
 pub struct ExecutionPipeline<'r> {
     backend: &'r dyn Backend,
     config: &'r EngineConfig,
@@ -211,12 +264,6 @@ pub struct ExecutionPipeline<'r> {
 }
 
 impl<'r> ExecutionPipeline<'r> {
-    /// A pipeline with the default stages the configuration's optimisation
-    /// level selects.
-    pub(crate) fn new(backend: &'r dyn Backend, config: &'r EngineConfig) -> Self {
-        Self::with_overrides(backend, config, StageOverrides::default())
-    }
-
     /// A pipeline with per-call stage replacements.
     pub(crate) fn with_overrides(
         backend: &'r dyn Backend,

@@ -10,7 +10,6 @@
 use crate::backend::{Backend, Traversal, TraversalJob, TraversalKind};
 use crate::bundling::{apply_bundles, plan_bundles};
 use crate::cost_model::CostCoefficients;
-use crate::engine::SearchError;
 use crate::index::{AccelStore, EngineConfig};
 use crate::megacell::MegacellGrid;
 use crate::partition::{
@@ -18,6 +17,7 @@ use crate::partition::{
     Partition,
 };
 use crate::pipeline::ir::{GatheredHits, LaunchRecord, LaunchSet, PartitionedQueries};
+use crate::plan::SearchError;
 use crate::result::{SearchMode, SearchParams, TimeBreakdown};
 use crate::scheduling::{anchor_keys, charge_sort_kernel, QuerySchedule};
 use rtnn_gpusim::KernelMetrics;

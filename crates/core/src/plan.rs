@@ -13,6 +13,7 @@
 //! typed [`PlanError`] naming the offending field.
 
 use crate::result::{SearchMode, SearchParams};
+use rtnn_gpusim::device::OutOfDeviceMemory;
 use std::borrow::Cow;
 
 /// A typed description of one neighbor search (or a batch of them),
@@ -158,8 +159,7 @@ impl QueryPlan {
         }
     }
 
-    /// The plan equivalent to legacy [`SearchParams`] (used by the
-    /// deprecated `Rtnn::search` shims; see the README migration table).
+    /// The plan equivalent to a set of [`SearchParams`].
     pub fn from_params(params: SearchParams) -> Self {
         match params.mode {
             SearchMode::Knn => QueryPlan::Knn {
@@ -184,7 +184,7 @@ impl QueryPlan {
         }
     }
 
-    /// The legacy parameter bundle for a non-batch plan (`None` for
+    /// The parameter bundle for a non-batch plan (`None` for
     /// [`QueryPlan::Batch`]).
     pub fn params(&self) -> Option<SearchParams> {
         match *self {
@@ -483,6 +483,40 @@ impl std::fmt::Display for PlanError {
 }
 
 impl std::error::Error for PlanError {}
+
+/// Errors a search can report.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SearchError {
+    /// The query plan, search parameters or engine configuration are
+    /// invalid; the typed [`PlanError`] names the offending field.
+    InvalidPlan(PlanError),
+    /// The working set does not fit in the simulated device memory (the
+    /// `OOM` outcomes of Figure 11).
+    OutOfDeviceMemory(OutOfDeviceMemory),
+}
+
+impl std::fmt::Display for SearchError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SearchError::InvalidPlan(e) => write!(f, "invalid configuration: {e}"),
+            SearchError::OutOfDeviceMemory(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for SearchError {}
+
+impl From<OutOfDeviceMemory> for SearchError {
+    fn from(e: OutOfDeviceMemory) -> Self {
+        SearchError::OutOfDeviceMemory(e)
+    }
+}
+
+impl From<PlanError> for SearchError {
+    fn from(e: PlanError) -> Self {
+        SearchError::InvalidPlan(e)
+    }
+}
 
 #[cfg(test)]
 mod tests {

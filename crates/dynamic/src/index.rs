@@ -4,8 +4,9 @@
 
 use crate::policy::RebuildPolicy;
 use rtnn::{
-    Accel, AdoptedScene, AutoTuner, Backend, CostCoefficients, GpusimBackend, Index, MegacellCache,
-    MegacellGrid, QueryPlan, RtnnConfig, SearchError, SearchResults, StageOverrides, TunerDecision,
+    Accel, AdoptedScene, AutoTuner, Backend, CostCoefficients, EngineConfig, GpusimBackend, Index,
+    MegacellCache, MegacellGrid, QueryPlan, SearchError, SearchParams, SearchResults,
+    StageOverrides, TunerDecision, Tuning,
 };
 use rtnn_bvh::SahMonitor;
 use rtnn_gpusim::{Device, FrameAccumulator};
@@ -138,7 +139,9 @@ struct SyncInfo {
 /// fast* the correct answer is found, never which answer).
 pub struct DynamicIndex<'d> {
     backend: BackendHolder<'d>,
-    config: RtnnConfig,
+    config: EngineConfig,
+    /// The search every [`search`](Self::search) frame runs.
+    params: SearchParams,
     policy: RebuildPolicy,
     /// Slot-stable storage: `positions[h]` is point handle `h`.
     positions: Vec<Vec3>,
@@ -181,16 +184,27 @@ pub struct DynamicIndex<'d> {
 
 impl<'d> DynamicIndex<'d> {
     /// An empty index on the default (gpusim) backend with the default
-    /// (adaptive) rebuild policy.
-    pub fn new(device: &'d Device, config: RtnnConfig) -> Self {
-        Self::with_policy(device, config, RebuildPolicy::default())
+    /// (adaptive) rebuild policy. Every [`search`](Self::search) frame runs
+    /// `params` under `config`.
+    ///
+    /// An auto-tuning `config` ([`EngineConfig::auto`]) is the same as
+    /// calling [`enable_auto`](Self::enable_auto) with its seed: the tuner
+    /// lives on the dynamic index and carries its state across frames.
+    pub fn new(device: &'d Device, config: EngineConfig, params: SearchParams) -> Self {
+        Self::with_policy(device, config, params, RebuildPolicy::default())
     }
 
     /// An empty index on the default backend with an explicit policy.
-    pub fn with_policy(device: &'d Device, config: RtnnConfig, policy: RebuildPolicy) -> Self {
+    pub fn with_policy(
+        device: &'d Device,
+        config: EngineConfig,
+        params: SearchParams,
+        policy: RebuildPolicy,
+    ) -> Self {
         Self::from_holder(
             BackendHolder::Owned(GpusimBackend::new(device)),
             config,
+            params,
             policy,
         )
     }
@@ -198,16 +212,23 @@ impl<'d> DynamicIndex<'d> {
     /// An empty index on an explicit execution backend.
     pub fn with_backend(
         backend: &'d dyn Backend,
-        config: RtnnConfig,
+        config: EngineConfig,
+        params: SearchParams,
         policy: RebuildPolicy,
     ) -> Self {
-        Self::from_holder(BackendHolder::Borrowed(backend), config, policy)
+        Self::from_holder(BackendHolder::Borrowed(backend), config, params, policy)
     }
 
-    fn from_holder(backend: BackendHolder<'d>, config: RtnnConfig, policy: RebuildPolicy) -> Self {
-        DynamicIndex {
+    fn from_holder(
+        backend: BackendHolder<'d>,
+        config: EngineConfig,
+        params: SearchParams,
+        policy: RebuildPolicy,
+    ) -> Self {
+        let mut index = DynamicIndex {
             backend,
             config,
+            params,
             policy,
             positions: Vec::new(),
             live: Vec::new(),
@@ -228,12 +249,21 @@ impl<'d> DynamicIndex<'d> {
             pending_host_structure_ms: 0.0,
             tuner: None,
             last_decision: None,
+        };
+        if let Tuning::Auto { seed } = config.tuning {
+            index.enable_auto(seed);
         }
+        index
     }
 
     /// An index seeded with `points` (handles `0..points.len()`).
-    pub fn with_points(device: &'d Device, config: RtnnConfig, points: &[Vec3]) -> Self {
-        let mut index = Self::new(device, config);
+    pub fn with_points(
+        device: &'d Device,
+        config: EngineConfig,
+        params: SearchParams,
+        points: &[Vec3],
+    ) -> Self {
+        let mut index = Self::new(device, config, params);
         for &p in points {
             index.insert(p);
         }
@@ -297,8 +327,13 @@ impl<'d> DynamicIndex<'d> {
     }
 
     /// The engine configuration the index searches with.
-    pub fn config(&self) -> &RtnnConfig {
+    pub fn config(&self) -> &EngineConfig {
         &self.config
+    }
+
+    /// The search every [`search`](Self::search) frame runs.
+    pub fn params(&self) -> SearchParams {
+        self.params
     }
 
     /// The rebuild policy.
@@ -371,7 +406,7 @@ impl<'d> DynamicIndex<'d> {
         let structure_ms = std::mem::take(&mut self.pending_structure_ms);
         let host_structure_ms = std::mem::take(&mut self.pending_host_structure_ms);
 
-        let plan = self.config.plan();
+        let plan = QueryPlan::from_params(self.params);
         // Adaptive tuning: decide the frame's ladder rung *before* the view
         // borrows the structures. The decision keys on the frame's live
         // density, so a drifting scene migrates between signatures exactly
@@ -476,8 +511,9 @@ impl<'d> DynamicIndex<'d> {
     }
 
     /// Build the per-frame adopted view both query paths share. The
-    /// adopted megacell cache is tagged with the config's params, so view
-    /// plans with other radii/K bypass it instead of wiping it.
+    /// adopted megacell cache is tagged with the frame params, so view
+    /// plans with other radii/K bypass it instead of wiping it. The view
+    /// itself never tunes: the tuner lives on `self`, across views.
     fn frame_view(&mut self, dirty_region: Aabb, structure_ms: f64) -> FrameIndex<'_> {
         let accel = self
             .accel
@@ -486,13 +522,13 @@ impl<'d> DynamicIndex<'d> {
         let mut index = Index::adopt(
             self.backend.as_dyn(),
             &self.compact,
-            self.config.engine(),
+            self.config.with_tuning(Tuning::Static),
             AdoptedScene {
                 accel,
                 grid: self.grid.as_ref(),
                 dirty_region,
                 cache: Some(&mut self.cache),
-                cache_params: Some(self.config.params),
+                cache_params: Some(self.params),
             },
         );
         index.charge_structure_ms(structure_ms);
@@ -507,8 +543,8 @@ impl<'d> DynamicIndex<'d> {
     /// policy).
     fn sync_structures(&mut self) -> Result<SyncInfo, SearchError> {
         // Validate early so invalid configs fail before touching state.
-        self.config.params.validate().map_err(SearchError::from)?;
-        let width = self.config.global_aabb_width();
+        self.params.validate().map_err(SearchError::from)?;
+        let width = 2.0 * self.params.radius * self.config.approx.aabb_width_factor();
 
         let membership_was_dirty = self.membership_dirty;
         if membership_was_dirty {
@@ -691,7 +727,7 @@ impl<'d> DynamicIndex<'d> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtnn::{OptLevel, OptixBackend, PlanSlice, SearchParams};
+    use rtnn::{OptLevel, PlanSlice};
 
     fn jittered_block(n_per_axis: usize, spacing: f32) -> Vec<Vec3> {
         let mut pts = Vec::new();
@@ -719,8 +755,9 @@ mod tests {
     fn first_frame_rebuilds_then_pure_motion_refits() {
         let device = Device::rtx_2080();
         let points = jittered_block(6, 0.5);
-        let config = RtnnConfig::new(SearchParams::knn(1.2, 8));
-        let mut index = DynamicIndex::with_points(&device, config, &points);
+        let params = SearchParams::knn(1.2, 8);
+        let mut index =
+            DynamicIndex::with_points(&device, EngineConfig::default(), params, &points);
         let queries: Vec<Vec3> = points.iter().step_by(3).copied().collect();
         let f0 = index.search(&queries).unwrap();
         assert_eq!(f0.action, StructureAction::Rebuilt);
@@ -745,10 +782,11 @@ mod tests {
     #[test]
     fn results_match_a_fresh_engine_every_frame() {
         let device = Device::rtx_2080();
+        let backend = GpusimBackend::new(&device);
         let mut points = jittered_block(6, 0.5);
         let params = SearchParams::range(1.1, 1000);
-        let config = RtnnConfig::new(params);
-        let mut index = DynamicIndex::with_points(&device, config, &points);
+        let mut index =
+            DynamicIndex::with_points(&device, EngineConfig::default(), params, &points);
         for frame in 0..5 {
             for (h, p) in points.iter_mut().enumerate() {
                 p.z *= 0.97;
@@ -757,9 +795,8 @@ mod tests {
             }
             let queries: Vec<Vec3> = points.iter().step_by(4).copied().collect();
             let dynamic = index.search(&queries).unwrap();
-            #[allow(deprecated)] // the legacy shim is the reference here
-            let fresh = rtnn::Rtnn::new(&device, config)
-                .search(&points, &queries)
+            let fresh = Index::build(&backend, &points[..], EngineConfig::default())
+                .query(&queries, &QueryPlan::from_params(params))
                 .unwrap();
             for (qi, (d, f)) in dynamic
                 .results
@@ -781,8 +818,9 @@ mod tests {
     fn insert_and_remove_force_a_rebuild_and_keep_handles_stable() {
         let device = Device::rtx_2080();
         let points = jittered_block(4, 1.0);
-        let config = RtnnConfig::new(SearchParams::range(1.5, 64)).with_opt(OptLevel::Sched);
-        let mut index = DynamicIndex::with_points(&device, config, &points);
+        let params = SearchParams::range(1.5, 64);
+        let config = EngineConfig::default().with_opt(OptLevel::Sched);
+        let mut index = DynamicIndex::with_points(&device, config, params, &points);
         index.search(&[Vec3::ZERO]).unwrap();
 
         // Remove a point and add one far away; handles shift for nobody.
@@ -806,8 +844,8 @@ mod tests {
     #[test]
     fn empty_and_growing_index_work() {
         let device = Device::rtx_2080();
-        let config = RtnnConfig::new(SearchParams::knn(1.0, 4));
-        let mut index = DynamicIndex::new(&device, config);
+        let params = SearchParams::knn(1.0, 4);
+        let mut index = DynamicIndex::new(&device, EngineConfig::default(), params);
         assert!(index.is_empty());
         let empty = index.search(&[Vec3::ZERO]).unwrap();
         assert!(empty.results.neighbors[0].is_empty());
@@ -820,8 +858,9 @@ mod tests {
     fn heavy_scrambling_eventually_triggers_a_policy_rebuild() {
         let device = Device::rtx_2080();
         let points = jittered_block(8, 0.5);
-        let config = RtnnConfig::new(SearchParams::knn(1.2, 8));
-        let mut index = DynamicIndex::with_points(&device, config, &points);
+        let params = SearchParams::knn(1.2, 8);
+        let mut index =
+            DynamicIndex::with_points(&device, EngineConfig::default(), params, &points);
         let queries: Vec<Vec3> = points.iter().step_by(2).copied().collect();
         index.search(&queries).unwrap();
         // Scramble: teleport every point to a hash-derived position so the
@@ -854,8 +893,9 @@ mod tests {
     fn frame_index_view_answers_heterogeneous_plans_with_stable_handles() {
         let device = Device::rtx_2080();
         let points = jittered_block(6, 0.6);
-        let config = RtnnConfig::new(SearchParams::knn(1.2, 8));
-        let mut index = DynamicIndex::with_points(&device, config, &points);
+        let params = SearchParams::knn(1.2, 8);
+        let mut index =
+            DynamicIndex::with_points(&device, EngineConfig::default(), params, &points);
         let queries: Vec<Vec3> = points.iter().step_by(5).copied().collect();
         index.search(&queries).unwrap();
 
@@ -942,8 +982,8 @@ mod tests {
 
         let k = 8;
         let params = SearchParams::knn(6.0, k);
-        let config = RtnnConfig::new(params);
-        let mut index = DynamicIndex::with_points(&device, config, &points);
+        let mut index =
+            DynamicIndex::with_points(&device, EngineConfig::default(), params, &points);
         let queries = vec![centre];
         index.search(&queries).unwrap(); // cache: tiny megacell (clump)
 
@@ -985,8 +1025,9 @@ mod tests {
         // dropped view loses no simulated cost from the accounting.
         let device = Device::rtx_2080();
         let points = jittered_block(6, 0.5);
-        let config = RtnnConfig::new(SearchParams::knn(1.2, 8));
-        let mut index = DynamicIndex::with_points(&device, config, &points);
+        let params = SearchParams::knn(1.2, 8);
+        let mut index =
+            DynamicIndex::with_points(&device, EngineConfig::default(), params, &points);
         let queries: Vec<Vec3> = points.iter().step_by(4).copied().collect();
         index.search(&queries).unwrap();
 
@@ -1017,8 +1058,9 @@ mod tests {
         // those undersized megacells.
         let device = Device::rtx_2080();
         let points = jittered_block(7, 0.5);
-        let config = RtnnConfig::new(SearchParams::knn(1.0, 2));
-        let mut index = DynamicIndex::with_points(&device, config, &points);
+        let params = SearchParams::knn(1.0, 2);
+        let mut index =
+            DynamicIndex::with_points(&device, EngineConfig::default(), params, &points);
         let queries: Vec<Vec3> = points.iter().step_by(3).copied().collect();
         index.search(&queries).unwrap(); // cache grown for k = 2
 
@@ -1048,8 +1090,9 @@ mod tests {
         use rtnn_telemetry::{SignatureProfiler, Telemetry, TelemetryLevel};
         let device = Device::rtx_2080();
         let points = jittered_block(5, 0.6);
-        let config = RtnnConfig::new(SearchParams::knn(1.2, 6));
-        let mut index = DynamicIndex::with_points(&device, config, &points);
+        let params = SearchParams::knn(1.2, 6);
+        let mut index =
+            DynamicIndex::with_points(&device, EngineConfig::default(), params, &points);
         let queries: Vec<Vec3> = points.iter().step_by(4).copied().collect();
         let plain = index.search(&queries).unwrap();
         let tel = Telemetry::new(TelemetryLevel::Basic);
@@ -1075,11 +1118,12 @@ mod tests {
     fn auto_tuned_frames_stay_exact_and_carry_state_across_frames() {
         let device = Device::rtx_2080();
         let points = jittered_block(6, 0.5);
-        let config = RtnnConfig::new(SearchParams::knn(1.2, 8));
+        let params = SearchParams::knn(1.2, 8);
         let queries: Vec<Vec3> = points.iter().step_by(3).copied().collect();
 
         let drive = |seed: Option<u64>| -> (Vec<Vec<Vec<u32>>>, Vec<Option<rtnn::OptLevel>>) {
-            let mut index = DynamicIndex::with_points(&device, config, &points);
+            let mut index =
+                DynamicIndex::with_points(&device, EngineConfig::default(), params, &points);
             if let Some(seed) = seed {
                 index.enable_auto(seed);
             }
@@ -1116,9 +1160,10 @@ mod tests {
         // the early frames the tuner spends exploring low ladder rungs.
         assert_eq!(auto_neighbors, static_neighbors);
         // The state survived across frames: by frame 8 all four arms have
-        // been bootstrapped, so later frames exploit measurements.
-        let mut index = DynamicIndex::with_points(&device, config, &points);
-        index.enable_auto(7);
+        // been bootstrapped, so later frames exploit measurements. An
+        // auto-tuning config installs the same carried tuner.
+        let config = EngineConfig::default().with_tuning(Tuning::Auto { seed: 7 });
+        let mut index = DynamicIndex::with_points(&device, config, params, &points);
         for _ in 0..8 {
             index.search(&queries).unwrap();
         }
@@ -1133,10 +1178,12 @@ mod tests {
         // The opaque OptiX shim exposes no SAH, so quality stays 1.0 and
         // the adaptive policy relies on its cap — results stay exact.
         let device = Device::rtx_2080();
-        let backend = OptixBackend::new(&device);
+        let backend = GpusimBackend::opaque(&device);
         let points = jittered_block(5, 0.7);
-        let config = RtnnConfig::new(SearchParams::knn(1.4, 6));
-        let mut index = DynamicIndex::with_backend(&backend, config, RebuildPolicy::adaptive());
+        let params = SearchParams::knn(1.4, 6);
+        let config = EngineConfig::default();
+        let mut index =
+            DynamicIndex::with_backend(&backend, config, params, RebuildPolicy::adaptive());
         for &p in &points {
             index.insert(p);
         }
@@ -1155,8 +1202,10 @@ mod tests {
             .filter_map(|h| index.position(h))
             .collect();
         let gpusim = GpusimBackend::new(&device);
-        let mut fresh = Index::build(&gpusim, &moved[..], config.engine());
-        let reference = fresh.query(&queries, &config.plan()).unwrap();
+        let mut fresh = Index::build(&gpusim, &moved[..], config);
+        let reference = fresh
+            .query(&queries, &QueryPlan::from_params(params))
+            .unwrap();
         assert_eq!(f1.results.neighbors, reference.neighbors);
     }
 }

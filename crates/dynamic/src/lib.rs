@@ -36,7 +36,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use rtnn::{RtnnConfig, SearchParams};
+//! use rtnn::{EngineConfig, SearchParams};
 //! use rtnn_dynamic::DynamicIndex;
 //! use rtnn_gpusim::Device;
 //! use rtnn_math::Vec3;
@@ -45,8 +45,8 @@
 //! let points: Vec<Vec3> = (0..500)
 //!     .map(|i| Vec3::new((i % 10) as f32, ((i / 10) % 10) as f32, (i / 100) as f32))
 //!     .collect();
-//! let config = RtnnConfig::new(SearchParams::knn(1.5, 8));
-//! let mut index = DynamicIndex::with_points(&device, config, &points);
+//! let params = SearchParams::knn(1.5, 8);
+//! let mut index = DynamicIndex::with_points(&device, EngineConfig::default(), params, &points);
 //!
 //! for _frame in 0..3 {
 //!     // Drift every point a little, then query the moved cloud.

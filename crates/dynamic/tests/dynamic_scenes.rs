@@ -3,9 +3,7 @@
 //! bit-equal to a batch engine rebuilt from scratch every frame, while
 //! doing strictly less structure work.
 
-#![allow(deprecated)] // the legacy shim is the from-scratch reference here
-
-use rtnn::{OptLevel, Rtnn, RtnnConfig, SearchParams};
+use rtnn::{EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan, SearchParams, SearchResults};
 use rtnn_data::dynamics::{DriftModel, DriftScene, FrameUpdate};
 use rtnn_data::PointCloud;
 use rtnn_dynamic::{DynamicIndex, RebuildPolicy, StructureAction};
@@ -62,6 +60,20 @@ fn sorted(mut v: Vec<u32>) -> Vec<u32> {
     v
 }
 
+/// The from-scratch reference: a freshly built [`Index`] answering `params`.
+fn fresh_search(
+    device: &Device,
+    config: EngineConfig,
+    params: SearchParams,
+    points: &[Vec3],
+    queries: &[Vec3],
+) -> SearchResults {
+    let backend = GpusimBackend::new(device);
+    Index::build(&backend, points, config)
+        .query(queries, &QueryPlan::from_params(params))
+        .unwrap()
+}
+
 /// The headline acceptance run: 50 frames of SPH settling.
 #[test]
 fn fifty_frame_sph_is_bit_identical_to_rebuilding_every_frame() {
@@ -72,16 +84,16 @@ fn fifty_frame_sph_is_bit_identical_to_rebuilding_every_frame() {
     let params = SearchParams::range(h, 4096);
     // A small grid budget keeps the debug-build test fast; production uses
     // the default multi-million-cell budget.
-    let config = RtnnConfig::new(params).with_grid_max_cells(1 << 12);
+    let config = EngineConfig::default().with_grid_max_cells(1 << 12);
     let model = DriftModel::SphSettle {
         compression: 0.995,
         jitter: 0.002,
     };
 
     let mut scene = DriftScene::new(&cloud, model, 0xD1CE);
-    let mut policy_index = DynamicIndex::with_points(&device, config, &cloud.points);
+    let mut policy_index = DynamicIndex::with_points(&device, config, params, &cloud.points);
     let mut rebuild_index =
-        DynamicIndex::with_policy(&device, config, RebuildPolicy::always_rebuild());
+        DynamicIndex::with_policy(&device, config, params, RebuildPolicy::always_rebuild());
     for &p in &cloud.points {
         rebuild_index.insert(p);
     }
@@ -107,13 +119,11 @@ fn fifty_frame_sph_is_bit_identical_to_rebuilding_every_frame() {
                 "frame {frame} query {qi}: policy vs rebuild-every-frame"
             );
         }
-        // And against a stateless batch engine on a sample of frames (the
+        // And against a stateless batch index on a sample of frames (the
         // rebuild index is already a from-scratch baseline; this guards the
-        // prepared-scene plumbing itself).
+        // adopted-scene plumbing itself).
         if frame % 10 == 0 {
-            let fresh = Rtnn::new(&device, config)
-                .search(&points, &queries)
-                .unwrap();
+            let fresh = fresh_search(&device, config, params, &points, &queries);
             for qi in 0..queries.len() {
                 assert_eq!(
                     sorted(dynamic.results.neighbors[qi].clone()),
@@ -156,7 +166,7 @@ fn lidar_churn_frames_stay_exact_through_forced_rebuilds() {
     let device = Device::rtx_2080();
     let cloud = fluid_block(6, 1.0);
     let params = SearchParams::knn(2.5, 8);
-    let config = RtnnConfig::new(params).with_grid_max_cells(1 << 12);
+    let config = EngineConfig::default().with_grid_max_cells(1 << 12);
     let mut scene = DriftScene::new(
         &cloud,
         DriftModel::LidarSweep {
@@ -165,7 +175,7 @@ fn lidar_churn_frames_stay_exact_through_forced_rebuilds() {
         },
         0xBEEF,
     );
-    let mut index = DynamicIndex::with_points(&device, config, &cloud.points);
+    let mut index = DynamicIndex::with_points(&device, config, params, &cloud.points);
     for frame in 0..8 {
         let update = scene.step();
         assert!(update.is_structural());
@@ -175,9 +185,7 @@ fn lidar_churn_frames_stay_exact_through_forced_rebuilds() {
         let dynamic = index.search(&queries).unwrap();
         // Structural churn always rebuilds — and stays exact.
         assert_eq!(dynamic.action, StructureAction::Rebuilt);
-        let fresh = Rtnn::new(&device, config)
-            .search(&points, &queries)
-            .unwrap();
+        let fresh = fresh_search(&device, config, params, &points, &queries);
         // Handles and compact ids diverge once slots die: translate the
         // fresh engine's compact ids through the live slot order.
         let live_slots: Vec<u32> = (0..scene.num_slots() as u32)
@@ -202,20 +210,18 @@ fn nbody_orbit_mixes_refits_and_policy_rebuilds_and_stays_exact() {
     let device = Device::rtx_2080();
     let cloud = fluid_block(6, 0.6);
     let params = SearchParams::range(1.3, 4096);
-    let config = RtnnConfig::new(params)
+    let config = EngineConfig::default()
         .with_opt(OptLevel::Full)
         .with_grid_max_cells(1 << 12);
     let mut scene = DriftScene::new(&cloud, DriftModel::NBodyOrbit { angular_step: 0.06 }, 3);
-    let mut index = DynamicIndex::with_points(&device, config, &cloud.points);
+    let mut index = DynamicIndex::with_points(&device, config, params, &cloud.points);
     for frame in 0..12 {
         let update = scene.step();
         apply_update(&mut index, &scene, &update);
         let points = scene.live_points();
         let queries: Vec<Vec3> = points.iter().step_by(2).copied().collect();
         let dynamic = index.search(&queries).unwrap();
-        let fresh = Rtnn::new(&device, config)
-            .search(&points, &queries)
-            .unwrap();
+        let fresh = fresh_search(&device, config, params, &points, &queries);
         for qi in 0..queries.len() {
             assert_eq!(
                 sorted(dynamic.results.neighbors[qi].clone()),
@@ -252,20 +258,18 @@ fn dynamic_scene_stress_sweep() {
     for (mi, model) in models.iter().enumerate() {
         for params in param_sets {
             for opt in OptLevel::all() {
-                let config = RtnnConfig::new(params)
+                let config = EngineConfig::default()
                     .with_opt(opt)
                     .with_grid_max_cells(1 << 14);
                 let mut scene = DriftScene::new(&cloud, *model, 0xAB + mi as u64);
-                let mut index = DynamicIndex::with_points(&device, config, &cloud.points);
+                let mut index = DynamicIndex::with_points(&device, config, params, &cloud.points);
                 for frame in 0..20 {
                     let update = scene.step();
                     apply_update(&mut index, &scene, &update);
                     let points = scene.live_points();
                     let queries: Vec<Vec3> = points.iter().step_by(4).copied().collect();
                     let dynamic = index.search(&queries).unwrap();
-                    let fresh = Rtnn::new(&device, config)
-                        .search(&points, &queries)
-                        .unwrap();
+                    let fresh = fresh_search(&device, config, params, &points, &queries);
                     let live_slots: Vec<u32> = (0..scene.num_slots() as u32)
                         .filter(|&s| scene.position(s).is_some())
                         .collect();

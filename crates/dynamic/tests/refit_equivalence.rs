@@ -5,10 +5,11 @@
 //! search modes and all four optimisation levels. The refitted tree may be
 //! arbitrarily worse to traverse, but never allowed to change an answer.
 
-#![allow(deprecated)] // the legacy shim is the from-scratch reference here
-
 use proptest::prelude::*;
-use rtnn::{OptLevel, Rtnn, RtnnConfig, SearchMode, SearchParams};
+use rtnn::{
+    EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan, SearchMode, SearchParams,
+    SearchResults,
+};
 use rtnn_dynamic::{DynamicIndex, RebuildPolicy, StructureAction};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
@@ -42,6 +43,20 @@ fn sorted(mut v: Vec<u32>) -> Vec<u32> {
     v
 }
 
+/// The from-scratch reference: a freshly built [`Index`] answering `params`.
+fn fresh_search(
+    device: &Device,
+    config: EngineConfig,
+    params: SearchParams,
+    points: &[Vec3],
+    queries: &[Vec3],
+) -> SearchResults {
+    let backend = GpusimBackend::new(device);
+    Index::build(&backend, points, config)
+        .query(queries, &QueryPlan::from_params(params))
+        .unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
@@ -63,13 +78,13 @@ proptest! {
         let k = if mode_is_knn { k } else { 10_000 };
         let params = SearchParams { radius, k, mode };
         let opt = OptLevel::all()[opt_idx];
-        let config = RtnnConfig::new(params)
+        let config = EngineConfig::default()
             .with_opt(opt)
             .with_grid_max_cells(1 << 12);
 
         // Force the refit path for every motion frame.
         let mut index =
-            DynamicIndex::with_policy(&device, config, RebuildPolicy::never_rebuild());
+            DynamicIndex::with_policy(&device, config, params, RebuildPolicy::never_rebuild());
         let mut current = points.clone();
         for &p in &current {
             index.insert(p);
@@ -88,7 +103,7 @@ proptest! {
             let refit = index.search(&queries).unwrap();
             prop_assert_eq!(refit.action, StructureAction::Refit);
 
-            let fresh = Rtnn::new(&device, config).search(&current, &queries).unwrap();
+            let fresh = fresh_search(&device, config, params, &current, &queries);
             for qi in 0..queries.len() {
                 let d = sorted(refit.results.neighbors[qi].clone());
                 let f = sorted(fresh.neighbors[qi].clone());

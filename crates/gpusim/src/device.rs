@@ -4,8 +4,7 @@
 use crate::config::DeviceConfig;
 use crate::metrics::KernelMetrics;
 use crate::shard::SmShard;
-use parking_lot::Mutex;
-use rtnn_parallel::par_for_chunks;
+use rtnn_parallel::par_map_collect;
 
 /// Error returned when a simulated allocation exceeds device memory —
 /// the analogue of the `OOM` entries in Figure 11.
@@ -209,6 +208,8 @@ impl Device {
     /// Warps are assigned to SM shards round-robin (warp `w` runs on SM
     /// `w % num_sms`), shards are simulated in parallel on the host, and the
     /// kernel's simulated time is the cycle count of the busiest shard.
+    /// Shard totals are summed in SM order, so every metric is bit-identical
+    /// at any host thread count.
     pub fn run_warps<R, F>(&self, num_threads: usize, warp_fn: F) -> (Vec<R>, KernelMetrics)
     where
         R: Send + Default + Clone,
@@ -219,37 +220,31 @@ impl Device {
         let num_sms = self.config.num_sms;
 
         let mut results: Vec<R> = vec![R::default(); num_threads];
-        let shards: Mutex<Vec<SmShard>> = Mutex::new(Vec::with_capacity(num_sms));
-
-        {
-            let results_ptr = ResultsPtr(results.as_mut_ptr());
-            // One chunk per SM; chunks run in parallel on the host.
-            par_for_chunks(num_sms, 1, |sm_range| {
-                let ptr = results_ptr;
-                for sm in sm_range {
-                    let mut shard = SmShard::new(&self.config);
-                    // Warps assigned to this SM: sm, sm + num_sms, ...
-                    let mut w = sm;
-                    while w < num_warps {
-                        let start = w * warp_size;
-                        let end = (start + warp_size).min(num_threads);
-                        shard.begin_warp();
-                        let warp_results = warp_fn(start..end, &mut shard);
-                        debug_assert_eq!(warp_results.len(), end - start);
-                        for (offset, r) in warp_results.into_iter().enumerate() {
-                            // SAFETY: thread indices are partitioned across
-                            // warps, and warps across SMs, so each element is
-                            // written exactly once.
-                            unsafe { ptr.0.add(start + offset).write(r) };
-                        }
-                        w += num_sms;
-                    }
-                    shards.lock().push(shard);
+        let results_ptr = ResultsPtr(results.as_mut_ptr());
+        // One shard per SM, simulated in parallel on the host and returned
+        // indexed by SM id.
+        let shards: Vec<SmShard> = par_map_collect(num_sms, |sm| {
+            let ptr = results_ptr;
+            let mut shard = SmShard::new(&self.config);
+            // Warps assigned to this SM: sm, sm + num_sms, ...
+            let mut w = sm;
+            while w < num_warps {
+                let start = w * warp_size;
+                let end = (start + warp_size).min(num_threads);
+                shard.begin_warp();
+                let warp_results = warp_fn(start..end, &mut shard);
+                debug_assert_eq!(warp_results.len(), end - start);
+                for (offset, r) in warp_results.into_iter().enumerate() {
+                    // SAFETY: thread indices are partitioned across warps,
+                    // and warps across SMs, so each element is written
+                    // exactly once, and `results` outlives the map.
+                    unsafe { ptr.0.add(start + offset).write(r) };
                 }
-            });
-        }
+                w += num_sms;
+            }
+            shard
+        });
 
-        let shards = shards.into_inner();
         let mut metrics = KernelMetrics {
             warps: num_warps as u64,
             threads: num_threads as u64,
@@ -430,5 +425,48 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn metrics_are_bit_identical_at_any_thread_count() {
+        // Uneven per-warp work across many warps, so every SM shard holds a
+        // different total and the f64 sums depend on their addition order.
+        let d = Device::rtx_2080();
+        let run = || {
+            d.run_warps(20_000, |range, shard| {
+                let addrs: Vec<u64> = range.clone().map(|i| (i as u64 * 7919) % 65_536).collect();
+                shard.access_warp_memory(&addrs);
+                shard.charge_sm_ops((range.start % 977) as f64 * 1.37);
+                shard.charge_is_calls((range.start % 31) as f64, IsShaderKind::Knn);
+                vec![(); range.len()]
+            })
+            .1
+        };
+        let serial = rtnn_parallel::with_thread_count(1, run);
+        for n in [2, 4] {
+            let parallel = rtnn_parallel::with_thread_count(n, run);
+            for (label, a, b) in [
+                ("total_cycles", serial.total_cycles, parallel.total_cycles),
+                (
+                    "rt_core_cycles",
+                    serial.rt_core_cycles,
+                    parallel.rt_core_cycles,
+                ),
+                ("sm_cycles", serial.sm_cycles, parallel.sm_cycles),
+                (
+                    "mem_stall_cycles",
+                    serial.mem_stall_cycles,
+                    parallel.mem_stall_cycles,
+                ),
+                (
+                    "simt_efficiency",
+                    serial.simt_efficiency,
+                    parallel.simt_efficiency,
+                ),
+            ] {
+                assert_eq!(a.to_bits(), b.to_bits(), "{label} differs at {n} threads");
+            }
+            assert_eq!(serial, parallel, "{n} threads");
+        }
     }
 }

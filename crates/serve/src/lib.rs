@@ -22,16 +22,20 @@
 //!   contiguous Morton-curve ranges, one sub-index per shard, served by
 //!   the `rtnn-parallel` worker pool. A router fans each query only to the
 //!   shards its search sphere overlaps, and a deterministic merge
-//!   (`rtnn::ShardMerge`) reassembles per-shard results into the exact
-//!   bit-equal single-index answer.
+//!   (`rtnn::ShardMerge`) reassembles per-shard results into the
+//!   single-index answer under the merge's conditions (below).
 //! * **[`loadgen`]** — a deterministic virtual-time load harness replaying
 //!   the dispatcher policy on simulated milliseconds, so offered-load
 //!   sweeps (`fig_serve`) are reproducible.
 //!
 //! Responses are **bit-equal to direct [`Index::query`] calls** regardless
-//! of arrival order, coalescing window, worker thread count and shard
-//! count — see `tests/serve_determinism.rs` at the workspace root for the
-//! stress proof, and the `ShardMerge` docs for the precise conditions.
+//! of arrival order, coalescing window and worker thread count. Across
+//! shard counts they are bit-equal under `ShardMerge`'s conditions: KNN
+//! whenever no two candidates tie exactly at the `k`-th distance, range
+//! whenever the cap does not truncate. A truncating range plan returns
+//! *some* `cap` in-radius neighbors by contract, and which ones depends on
+//! the shard count. `tests/serve_determinism.rs` at the workspace root is
+//! the stress proof, on a seeded random cloud with non-truncating caps.
 //!
 //! [`Index`]: rtnn::Index
 //! [`Index::query`]: rtnn::Index::query

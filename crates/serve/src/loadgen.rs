@@ -328,7 +328,7 @@ fn observed_tick<E: TickExecutor>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtnn::engine::SearchError;
+    use rtnn::SearchError;
     use rtnn::{QueryPlan, SearchResults, TimeBreakdown};
     use rtnn_math::Vec3;
 

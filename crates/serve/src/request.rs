@@ -1,7 +1,7 @@
 //! The request/response vocabulary of the query service.
 
-use rtnn::engine::SearchError;
 use rtnn::QueryPlan;
+use rtnn::SearchError;
 use rtnn_math::Vec3;
 
 /// One point-query request: a set of query positions plus the plan to

@@ -1,6 +1,7 @@
 //! Spatial sharding: one logical index served by N sub-indexes over a
 //! Morton-range split of the points, with a deterministic merge that
-//! reassembles the exact single-index results.
+//! reassembles the single-index results (exactly, under the conditions
+//! below).
 //!
 //! ## Why the merge is exact
 //!
@@ -24,7 +25,7 @@
 //! pool, each worker owning one shard's `Index` exclusively.
 
 use crate::coalesce::TickExecutor;
-use rtnn::engine::SearchError;
+use rtnn::SearchError;
 use rtnn::{
     Backend, CostCoefficients, EngineConfig, Index, LaunchMetrics, PipelineTrace, PlanSlice,
     QueryPlan, SearchParams, SearchResults, ShardMerge, StageKind, StageOverrides, TimeBreakdown,
@@ -95,7 +96,9 @@ struct ShardJob {
 }
 
 /// A spatially sharded index: behaves like one big [`Index`] — same
-/// [`query`](Self::query) contract, bit-equal results — but executes each
+/// [`query`](Self::query) contract, and results bit-equal to it under the
+/// [`ShardMerge`] conditions (no exact distance tie at the `k`-th KNN
+/// neighbor; range caps that do not truncate) — but executes each
 /// plan as a fan-out over N sub-indexes plus a deterministic merge: every
 /// overlapped shard runs the full execution pipeline
 /// ([`rtnn::pipeline`]) over its sub-index, and the per-shard launches are
@@ -228,9 +231,10 @@ impl<'a> ShardedIndex<'a> {
     /// the same overrides are threaded into **every** overlapped shard's
     /// pipeline execution, so one tick-level tuning decision governs the
     /// whole fan-out (the stage traits are `Sync`, so the borrowed stages
-    /// cross the worker pool directly). The merge is override-agnostic —
-    /// results stay bit-equal to the unsharded index under the same
-    /// overrides.
+    /// cross the worker pool directly). The merge is override-agnostic:
+    /// under the same overrides, results match the unsharded index exactly
+    /// as [`query`](Self::query)'s do (bit-equal under the [`ShardMerge`]
+    /// conditions).
     pub fn query_with(
         &mut self,
         queries: &[Vec3],

@@ -15,7 +15,7 @@
 //! cargo run --release --example cluster_stream
 //! ```
 
-use rtnn::{RtnnConfig, SearchParams};
+use rtnn::{EngineConfig, SearchParams};
 use rtnn_analytics::stream::FrameChange;
 use rtnn_analytics::{Dbscan, StreamingDbscan};
 use rtnn_baselines::dbscan_oracle;
@@ -71,8 +71,8 @@ fn main() {
     );
 
     let device = Device::rtx_2080();
-    let config = RtnnConfig::new(SearchParams::range(eps, 64));
-    let mut index = DynamicIndex::with_points(&device, config, &points);
+    let params = SearchParams::range(eps, 64);
+    let mut index = DynamicIndex::with_points(&device, EngineConfig::default(), params, &points);
     let mut stream = StreamingDbscan::new(Dbscan::new(eps, min_pts));
 
     // Record the run in a private always-on telemetry sink so the example

@@ -16,7 +16,7 @@
 //! cargo run --release --example nbody_clustering
 //! ```
 
-use rtnn::{QueryPlan, RtnnConfig, SearchParams};
+use rtnn::{EngineConfig, QueryPlan, SearchParams};
 use rtnn_data::dynamics::{DriftModel, DriftScene};
 use rtnn_data::nbody::{self, NBodyParams};
 use rtnn_dynamic::{DynamicIndex, StructureAction};
@@ -73,8 +73,8 @@ fn main() {
 
     let device = Device::rtx_2080();
     let params = SearchParams::range(linking_length, 64);
-    let config = RtnnConfig::new(params);
-    let mut index = DynamicIndex::with_points(&device, config, &cloud.points);
+    let mut index =
+        DynamicIndex::with_points(&device, EngineConfig::default(), params, &cloud.points);
     let mut scene = DriftScene::new(
         &cloud,
         DriftModel::NBodyOrbit { angular_step: 0.02 },

@@ -16,7 +16,7 @@
 //! ```
 
 use rtnn::verify::check_result;
-use rtnn::{RtnnConfig, SearchParams};
+use rtnn::{EngineConfig, SearchParams};
 use rtnn_dynamic::{DynamicIndex, StructureAction};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
@@ -53,15 +53,15 @@ fn main() {
 
     let device = Device::rtx_2080();
     let params = SearchParams::range(h, 64);
-    let config = RtnnConfig::new(params);
     let rest_density = 1000.0f32;
     let particle_mass = rest_density * spacing.powi(3);
     let stiffness = 3.0f32;
 
     // The persistent index: built once, maintained across every timestep on
-    // the default (gpusim) execution backend — swap in `OptixBackend` or
-    // the brute-force oracle via `DynamicIndex::with_backend`.
-    let mut index = DynamicIndex::with_points(&device, config, &particles);
+    // the default (gpusim) execution backend — swap in the opaque
+    // `GpusimBackend::opaque` shim or the brute-force oracle via
+    // `DynamicIndex::with_backend`.
+    let mut index = DynamicIndex::with_points(&device, EngineConfig::default(), params, &particles);
     println!("execution backend: {}", index.backend().name());
 
     let steps = 8;

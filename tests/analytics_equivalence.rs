@@ -9,7 +9,7 @@
 //! exact `assert_eq!`s — no tolerance, no set-normalisation.
 
 use proptest::prelude::*;
-use rtnn::{Backend, EngineConfig, GpusimBackend, Index, OptixBackend};
+use rtnn::{Backend, EngineConfig, GpusimBackend, Index};
 use rtnn_analytics::stream::FrameChange;
 use rtnn_analytics::{Dbscan, ReverseKnn, StreamingDbscan};
 use rtnn_baselines::{dbscan_oracle, rknn_oracle, BruteForceBackend};
@@ -38,7 +38,7 @@ fn dbscan_labels_match_the_oracle_on_every_backend() {
     let device = Device::rtx_2080();
     let backends: Vec<(&str, Box<dyn Backend>)> = vec![
         ("gpusim", Box::new(GpusimBackend::new(&device))),
-        ("optix", Box::new(OptixBackend::new(&device))),
+        ("optix", Box::new(GpusimBackend::opaque(&device))),
         ("brute-force", Box::new(BruteForceBackend::new(&device))),
     ];
     let points = seeded_cloud(420, 0xD85C);
@@ -63,7 +63,7 @@ fn rknn_members_match_the_oracle_on_every_backend() {
     let device = Device::rtx_2080();
     let backends: Vec<(&str, Box<dyn Backend>)> = vec![
         ("gpusim", Box::new(GpusimBackend::new(&device))),
-        ("optix", Box::new(OptixBackend::new(&device))),
+        ("optix", Box::new(GpusimBackend::opaque(&device))),
         ("brute-force", Box::new(BruteForceBackend::new(&device))),
     ];
     let points = seeded_cloud(380, 0x4B1D);
@@ -123,10 +123,10 @@ fn sharded_executors_are_bit_equal_to_the_plain_index() {
 #[test]
 fn dynamic_frames_match_the_oracle_every_frame() {
     let device = Device::rtx_2080();
-    let config = rtnn::RtnnConfig::new(rtnn::SearchParams::range(0.9, 64));
+    let search = rtnn::SearchParams::range(0.9, 64);
     let mut points = seeded_cloud(260, 0xF00D);
     let (eps, min_pts) = (0.9, 4);
-    let mut index = DynamicIndex::with_points(&device, config, &points);
+    let mut index = DynamicIndex::with_points(&device, EngineConfig::default(), search, &points);
     let mut stream = StreamingDbscan::new(Dbscan::new(eps, min_pts));
     let mut dead: Vec<u32> = Vec::new();
 
@@ -221,11 +221,13 @@ proptest! {
         frames in proptest::collection::vec(frame_strategy(60), 1..4),
     ) {
         let device = Device::rtx_2080();
-        let config = || rtnn::RtnnConfig::new(rtnn::SearchParams::range(0.8, 64));
+        let search = rtnn::SearchParams::range(0.8, 64);
         let mut points = seeded_cloud(60, seed);
         let params = Dbscan::new(0.8, 3);
-        let mut inc_index = DynamicIndex::with_points(&device, config(), &points);
-        let mut full_index = DynamicIndex::with_points(&device, config(), &points);
+        let mut inc_index =
+            DynamicIndex::with_points(&device, EngineConfig::default(), search, &points);
+        let mut full_index =
+            DynamicIndex::with_points(&device, EngineConfig::default(), search, &points);
         let mut inc = StreamingDbscan::new(params);
         let mut full = StreamingDbscan::new(params);
         let mut dead: Vec<u32> = Vec::new();

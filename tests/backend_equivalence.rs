@@ -1,16 +1,16 @@
 //! Cross-backend equivalence suite: for every plan kind × optimisation
-//! level, the ray-tracing backends (`GpusimBackend`, `OptixBackend`) must
-//! agree with the exhaustive `BruteForceBackend` oracle on seeded clouds —
-//! bit-equal for KNN (whose distance-sorted output erases traversal-order
-//! differences) and set-equal for range search (whose within-radius *order*
-//! is traversal-defined, so an uncapped comparison is order-normalised).
+//! level, the ray-tracing backends (`GpusimBackend::new` and the opaque
+//! `GpusimBackend::opaque` shim) must agree with the exhaustive
+//! `BruteForceBackend` oracle on seeded clouds — bit-equal for KNN (whose
+//! distance-sorted output erases traversal-order differences) and set-equal
+//! for range search (whose within-radius *order* is traversal-defined, so an
+//! uncapped comparison is order-normalised).
 //!
 //! Also proves the `Backend` trait stays object-safe: every backend in the
 //! suite is driven through a `Box<dyn Backend>`.
 
 use rtnn::{
-    Backend, EngineConfig, GpusimBackend, Index, OptLevel, OptixBackend, PlanSlice, QueryPlan,
-    StageOverrides,
+    Backend, EngineConfig, GpusimBackend, Index, OptLevel, PlanSlice, QueryPlan, StageOverrides,
 };
 use rtnn_baselines::BruteForceBackend;
 use rtnn_data::uniform::{self, UniformParams};
@@ -75,7 +75,7 @@ fn all_backends_agree_for_every_plan_kind_and_opt_level() {
 
     let rt_backends: Vec<(&str, Box<dyn Backend + '_>)> = vec![
         ("gpusim", Box::new(GpusimBackend::new(&device))),
-        ("optix-shim", Box::new(OptixBackend::new(&device))),
+        ("optix-shim", Box::new(GpusimBackend::opaque(&device))),
     ];
     let oracle: Box<dyn Backend + '_> = Box::new(BruteForceBackend::new(&device));
 
@@ -139,7 +139,7 @@ fn boxed_backends_are_interchangeable_at_runtime() {
     let queries: Vec<Vec3> = points.iter().step_by(13).copied().collect();
     let backends: Vec<Box<dyn Backend + '_>> = vec![
         Box::new(GpusimBackend::new(&device)),
-        Box::new(OptixBackend::new(&device)),
+        Box::new(GpusimBackend::opaque(&device)),
         Box::new(BruteForceBackend::new(&device)),
     ];
     let mut all = Vec::new();
@@ -171,7 +171,7 @@ fn stage_overrides_preserve_backend_equivalence() {
     let plan = QueryPlan::knn(6.0, 8);
     let backends: Vec<(&str, Box<dyn Backend + '_>)> = vec![
         ("gpusim", Box::new(GpusimBackend::new(&device))),
-        ("optix-shim", Box::new(OptixBackend::new(&device))),
+        ("optix-shim", Box::new(GpusimBackend::opaque(&device))),
         ("brute-force", Box::new(BruteForceBackend::new(&device))),
     ];
     let toggles = [

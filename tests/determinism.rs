@@ -7,9 +7,10 @@
 //! they live in their own integration-test binary (own process) and
 //! serialise the mutation behind a lock.
 
-#![allow(deprecated)] // the legacy `Rtnn` shim is one of the engines under test
+mod common;
 
-use rtnn::{Rtnn, RtnnConfig, SearchParams};
+use common::fresh_search;
+use rtnn::{EngineConfig, SearchParams};
 use rtnn_data::{Dataset, DatasetName};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
@@ -75,11 +76,7 @@ fn engine_results_and_simulated_times_are_independent_of_thread_count() {
     let points = small_cloud(DatasetName::Kitti6M);
     let queries: Vec<Vec3> = points.iter().step_by(5).copied().collect();
     let params = SearchParams::knn(2.0, 8);
-    let run = || {
-        Rtnn::new(&device, RtnnConfig::new(params))
-            .search(&points, &queries)
-            .unwrap()
-    };
+    let run = || fresh_search(&device, EngineConfig::default(), params, &points, &queries);
     let serial = with_threads(1, run);
     let parallel = with_threads(8, run);
     assert_eq!(

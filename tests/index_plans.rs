@@ -1,23 +1,28 @@
-//! Acceptance tests for the Index/QueryPlan API redesign:
+//! Acceptance tests for the Index/QueryPlan API:
 //!
-//! * `Index::query` with per-call plans is **bit-equal** to the legacy
-//!   `Rtnn::search` path for all plan kinds × optimisation levels;
+//! * `Index::query` with per-call plans is **bit-equal** to the former
+//!   single-plan engine for all plan kinds × optimisation levels, pinned by
+//!   golden checksums that engine recorded;
 //! * repeated plans on one index amortise every structure build away;
 //! * plan validation happens at query time with typed errors naming the
 //!   offending field;
 //! * a heterogeneous batch answers several plans in one call and matches
 //!   the corresponding single-plan results.
 
-#![allow(deprecated)] // the legacy shim is one side of the equivalence
+mod common;
 
+use common::fresh_search;
 use rtnn::pipeline::{IdentitySchedule, MegacellPartition, SinglePartition};
 use rtnn::{
-    EngineConfig, GpusimBackend, Index, OptLevel, PlanError, PlanSlice, QueryPlan, Rtnn,
-    RtnnConfig, SearchError, SearchParams, StageKind, StageOverrides,
+    AdoptedScene, Backend, EngineConfig, GpusimBackend, Index, LaunchMetrics, MegacellCache,
+    MegacellGrid, OptLevel, PlanError, PlanSlice, QueryPlan, SearchError, SearchParams,
+    SearchResults, StageKind, StageOverrides,
 };
+use rtnn_bvh::BuildParams;
 use rtnn_data::uniform::{self, UniformParams};
+use rtnn_dynamic::DynamicIndex;
 use rtnn_gpusim::Device;
-use rtnn_math::Vec3;
+use rtnn_math::{Aabb, Vec3};
 
 fn seeded_cloud(n: usize, seed: u64) -> Vec<Vec3> {
     uniform::generate(&UniformParams {
@@ -28,6 +33,83 @@ fn seeded_cloud(n: usize, seed: u64) -> Vec<Vec3> {
     .points
 }
 
+/// FNV-1a offset basis: the fingerprint of no results.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `results` into an order-sensitive FNV-1a `hash`: every neighbor id
+/// (with the list lengths), `num_partitions`, `num_bundles`, the bits of
+/// each `TimeBreakdown` slot, and the integer counters of both
+/// `LaunchMetrics`. The kernels' floating-point cycle sums are not covered:
+/// when the goldens were recorded, their last bits depended on the host
+/// thread count.
+fn fingerprint(mut hash: u64, results: &SearchResults) -> u64 {
+    let mut put = |v: u64| {
+        for byte in v.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    put(results.neighbors.len() as u64);
+    for ids in &results.neighbors {
+        put(ids.len() as u64);
+        ids.iter().for_each(|&id| put(u64::from(id)));
+    }
+    put(results.num_partitions as u64);
+    put(results.num_bundles as u64);
+    let b = &results.breakdown;
+    for ms in [b.data_ms, b.opt_ms, b.bvh_ms, b.fs_ms, b.search_ms] {
+        put(ms.to_bits());
+    }
+    for m in [&results.search_metrics, &results.fs_metrics] {
+        let LaunchMetrics {
+            kernel,
+            active_rays,
+            node_visits,
+            prim_tests,
+            is_calls,
+            terminated_rays,
+            hit_rays,
+        } = m;
+        for count in [
+            *active_rays,
+            *node_visits,
+            *prim_tests,
+            *is_calls,
+            *terminated_rays,
+            *hit_rays,
+            kernel.warps,
+            kernel.threads,
+        ] {
+            put(count);
+        }
+    }
+    hash
+}
+
+fn assert_golden(name: &str, hash: u64, golden: u64) {
+    assert_eq!(
+        hash, golden,
+        "{name}: results drifted from the recorded golden (got {hash:#018X}); \
+         update it only for an intentional change to results or simulated metrics"
+    );
+}
+
+fn grid_points(n_per_axis: usize, spacing: f32) -> Vec<Vec3> {
+    let mut pts = Vec::new();
+    for x in 0..n_per_axis {
+        for y in 0..n_per_axis {
+            for z in 0..n_per_axis {
+                pts.push(Vec3::new(x as f32, y as f32, z as f32) * spacing);
+            }
+        }
+    }
+    pts
+}
+
+/// Fingerprint of the 12 cases below as the former single-plan engine
+/// answered them (a fresh structure store per search).
+const GOLDEN_SEEDED_CLOUD: u64 = 0xF6A5_A466_0CDA_740A;
+
 #[test]
 fn index_is_bit_equal_to_legacy_engine_for_all_plans_and_opt_levels() {
     let device = Device::rtx_2080();
@@ -35,38 +117,103 @@ fn index_is_bit_equal_to_legacy_engine_for_all_plans_and_opt_levels() {
     let points = seeded_cloud(2500, 0xA11CE);
     let mut queries: Vec<Vec3> = points.iter().step_by(7).copied().collect();
     queries.push(Vec3::new(-50.0, -50.0, -50.0)); // outside the cloud
+    let mut hash = FNV_OFFSET;
     for params in [
         SearchParams::knn(5.0, 8),
         SearchParams::range(4.0, 64),
         SearchParams::range(2.0, 5), // cap-truncating: order must match too
     ] {
         for opt in OptLevel::all() {
-            let config = RtnnConfig::new(params).with_opt(opt);
-            let legacy = Rtnn::new(&device, config)
-                .search(&points, &queries)
-                .unwrap();
-            let mut index = Index::build(&backend, &points[..], config.engine());
-            let modern = index.query(&queries, &config.plan()).unwrap();
-            assert_eq!(
-                legacy.neighbors, modern.neighbors,
-                "{params:?} {opt:?}: Index::query must be bit-equal to Rtnn::search"
-            );
-            assert_eq!(
-                legacy.num_partitions, modern.num_partitions,
-                "{params:?} {opt:?}"
-            );
-            assert_eq!(legacy.num_bundles, modern.num_bundles, "{params:?} {opt:?}");
-            // First call on a fresh index pays exactly the legacy build
-            // cost; a repeat pays none and returns identical results.
-            assert_eq!(legacy.breakdown.bvh_ms, modern.breakdown.bvh_ms);
-            let again = index.query(&queries, &config.plan()).unwrap();
-            assert_eq!(again.neighbors, modern.neighbors);
+            let plan = QueryPlan::from_params(params);
+            let mut index =
+                Index::build(&backend, &points[..], EngineConfig::default().with_opt(opt));
+            let first = index.query(&queries, &plan).unwrap();
+            hash = fingerprint(hash, &first);
+            // A repeat pays no structure builds and returns identical
+            // results.
+            let again = index.query(&queries, &plan).unwrap();
+            assert_eq!(again.neighbors, first.neighbors);
             assert_eq!(
                 again.breakdown.bvh_ms, 0.0,
                 "{params:?} {opt:?}: warm index must not rebuild structures"
             );
         }
     }
+    assert_golden("seeded cloud", hash, GOLDEN_SEEDED_CLOUD);
+}
+
+/// Fingerprint of the 8 cases below as the former single-plan engine
+/// answered them.
+const GOLDEN_REGULAR_GRID: u64 = 0x02EF_88AA_C3FC_978B;
+
+#[test]
+fn index_on_a_regular_grid_matches_the_legacy_engine_golden() {
+    // A lattice has exact distance ties, so this pins the tie order too.
+    let device = Device::rtx_2080();
+    let points = grid_points(7, 0.7);
+    let queries: Vec<Vec3> = points.iter().step_by(3).copied().collect();
+    let mut hash = FNV_OFFSET;
+    for params in [SearchParams::knn(1.4, 7), SearchParams::range(1.1, 64)] {
+        for opt in OptLevel::all() {
+            let config = EngineConfig::default().with_opt(opt);
+            let results = fresh_search(&device, config, params, &points, &queries);
+            hash = fingerprint(hash, &results);
+        }
+    }
+    assert_golden("regular grid", hash, GOLDEN_REGULAR_GRID);
+}
+
+/// Fingerprint of the 8 cases below as the former engine's caller-prepared
+/// path answered them: a caller-built global structure, megacell grid and
+/// per-query cache, with 0.01 ms of maintenance charged to the search.
+const GOLDEN_ADOPTED_SCENE: u64 = 0xAA2A_EE40_3F8C_261D;
+
+#[test]
+fn adopted_scene_matches_a_fresh_index_and_charges_structure_time() {
+    let device = Device::rtx_2080();
+    let backend = GpusimBackend::new(&device);
+    let points = grid_points(7, 0.8);
+    let queries: Vec<Vec3> = points.iter().step_by(2).copied().collect();
+    let mut hash = FNV_OFFSET;
+    for params in [SearchParams::knn(1.5, 6), SearchParams::range(1.5, 64)] {
+        for opt in OptLevel::all() {
+            let config = EngineConfig::default().with_opt(opt);
+            let fresh = fresh_search(&device, config, params, &points, &queries);
+
+            let width = 2.0 * params.radius * config.approx.aabb_width_factor();
+            let accel = backend
+                .build(&points, width, BuildParams::default())
+                .unwrap();
+            let grid = MegacellGrid::build(&points, config.grid_max_cells).unwrap();
+            let mut cache = MegacellCache::new(queries.len());
+            let mut index = Index::adopt(
+                &backend,
+                &points,
+                config,
+                AdoptedScene {
+                    accel: &accel,
+                    grid: Some(&grid),
+                    dirty_region: Aabb::EMPTY,
+                    cache: Some(&mut cache),
+                    cache_params: None,
+                },
+            );
+            index.charge_structure_ms(0.01);
+            let adopted = index
+                .query(&queries, &QueryPlan::from_params(params))
+                .unwrap();
+            hash = fingerprint(hash, &adopted);
+            assert_eq!(
+                adopted.neighbors, fresh.neighbors,
+                "{params:?} {opt:?}: an adopted scene must answer bit-identically"
+            );
+            // The caller-supplied maintenance cost replaces the build time
+            // of the global structure.
+            assert!(adopted.breakdown.bvh_ms >= 0.01);
+            assert!(adopted.breakdown.bvh_ms < fresh.breakdown.bvh_ms);
+        }
+    }
+    assert_golden("adopted scene", hash, GOLDEN_ADOPTED_SCENE);
 }
 
 #[test]
@@ -90,9 +237,8 @@ fn one_index_serves_heterogeneous_plans_cheaper_than_new_engines() {
 
     let mut engines_total = 0.0;
     for plan in &plans {
-        let params = plan.params().unwrap();
-        engines_total += Rtnn::new(&device, RtnnConfig::new(params))
-            .search(&points, &queries)
+        engines_total += Index::build(&backend, &points[..], EngineConfig::default())
+            .query(&queries, plan)
             .unwrap()
             .total_time_ms();
     }
@@ -334,10 +480,16 @@ fn plan_validation_is_typed_and_names_the_field() {
         );
     }
 
-    // The legacy shim reports the same typed errors.
-    let legacy = Rtnn::new(&device, RtnnConfig::new(SearchParams::range(1.0, 0)));
+    // The one entry point that takes raw `SearchParams` reports the same
+    // typed errors.
+    let mut dynamic = DynamicIndex::with_points(
+        &device,
+        EngineConfig::default(),
+        SearchParams::range(1.0, 0),
+        &points,
+    );
     assert_eq!(
-        legacy.search(&points, &queries).unwrap_err(),
+        dynamic.search(&queries).unwrap_err(),
         SearchError::InvalidPlan(PlanError::ZeroNeighborCount {
             field: "SearchParams.k"
         })

@@ -6,12 +6,13 @@
 //! cargo test --release --test oracle_stress -- --ignored
 //! ```
 
-#![allow(deprecated)] // the stress sweep drives the legacy `Rtnn` shim on purpose
+mod common;
 
+use common::fresh_search;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rtnn::verify::check_all;
-use rtnn::{OptLevel, Rtnn, RtnnConfig, SearchMode, SearchParams};
+use rtnn::{EngineConfig, OptLevel, SearchMode, SearchParams};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
 
@@ -43,8 +44,8 @@ fn rtnn_agrees_with_brute_force_on_many_random_instances() {
         for mode in [SearchMode::Range, SearchMode::Knn] {
             let params = SearchParams { radius, k, mode };
             for opt in OptLevel::all() {
-                let engine = Rtnn::new(&device, RtnnConfig::new(params).with_opt(opt));
-                let results = engine.search(&points, &queries).unwrap();
+                let config = EngineConfig::default().with_opt(opt);
+                let results = fresh_search(&device, config, params, &points, &queries);
                 if let Err((q, e)) = check_all(&points, &queries, &params, &results.neighbors) {
                     panic!(
                         "case {case} {mode:?} {opt:?} r={radius} k={k} n={} query {q}: {e}",

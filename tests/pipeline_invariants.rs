@@ -2,9 +2,10 @@
 //! time accounting, optimisation effects at realistic density, approximate
 //! modes, and simulator sanity properties from DESIGN.md.
 
-#![allow(deprecated)] // the legacy `Rtnn` shim is the single-plan engine under test
+mod common;
 
-use rtnn::{ApproxMode, OptLevel, Rtnn, RtnnConfig, SearchMode, SearchParams};
+use common::fresh_search;
+use rtnn::{ApproxMode, EngineConfig, OptLevel, SearchMode, SearchParams};
 use rtnn_data::uniform::{self, UniformParams};
 use rtnn_data::{Dataset, DatasetName};
 use rtnn_gpusim::Device;
@@ -30,9 +31,7 @@ fn breakdown_components_sum_to_total_and_are_nonnegative() {
             k: 16,
             mode,
         };
-        let results = Rtnn::new(&device, RtnnConfig::new(params))
-            .search(&points, &queries)
-            .unwrap();
+        let results = fresh_search(&device, EngineConfig::default(), params, &points, &queries);
         let b = results.breakdown;
         let sum = b.data_ms + b.opt_ms + b.bvh_ms + b.fs_ms + b.search_ms;
         assert!((sum - b.total_ms()).abs() < 1e-9);
@@ -52,10 +51,14 @@ fn full_optimisations_beat_noopt_on_a_dense_knn_workload() {
     let queries = points.clone();
     let params = SearchParams::knn(1.5, 16);
     let time_at = |opt: OptLevel| {
-        Rtnn::new(&device, RtnnConfig::new(params).with_opt(opt))
-            .search(&points, &queries)
-            .unwrap()
-            .total_time_ms()
+        fresh_search(
+            &device,
+            EngineConfig::default().with_opt(opt),
+            params,
+            &points,
+            &queries,
+        )
+        .total_time_ms()
     };
     let noopt = time_at(OptLevel::NoOpt);
     let full = time_at(OptLevel::Full);
@@ -72,9 +75,13 @@ fn partitioned_search_does_less_shader_work_than_global_search() {
     let queries: Vec<Vec3> = points.iter().step_by(2).copied().collect();
     let params = SearchParams::knn(2.0, 8);
     let run = |opt: OptLevel| {
-        Rtnn::new(&device, RtnnConfig::new(params).with_opt(opt))
-            .search(&points, &queries)
-            .unwrap()
+        fresh_search(
+            &device,
+            EngineConfig::default().with_opt(opt),
+            params,
+            &points,
+            &queries,
+        )
     };
     let sched = run(OptLevel::Sched);
     let part = run(OptLevel::SchedPartition);
@@ -98,9 +105,13 @@ fn bundling_never_increases_total_time() {
     let queries: Vec<Vec3> = cloud.points.iter().step_by(3).copied().collect();
     let params = SearchParams::range(8.0, 32);
     let run = |opt: OptLevel| {
-        Rtnn::new(&device, RtnnConfig::new(params).with_opt(opt))
-            .search(&cloud.points, &queries)
-            .unwrap()
+        fresh_search(
+            &device,
+            EngineConfig::default().with_opt(opt),
+            params,
+            &cloud.points,
+            &queries,
+        )
     };
     let unbundled = run(OptLevel::SchedPartition);
     let bundled = run(OptLevel::Full);
@@ -127,17 +138,22 @@ fn shrunken_aabb_approximation_is_faster_and_never_reports_false_neighbors() {
     // so the search is effectively unbounded, but small enough that the
     // simulated result buffers still fit in device memory.
     let params = SearchParams::range(1.5, 2_000);
-    let exact = Rtnn::new(&device, RtnnConfig::new(params).with_opt(OptLevel::Sched))
-        .search(&points, &queries)
-        .unwrap();
-    let approx = Rtnn::new(
+    let exact = fresh_search(
         &device,
-        RtnnConfig::new(params)
+        EngineConfig::default().with_opt(OptLevel::Sched),
+        params,
+        &points,
+        &queries,
+    );
+    let approx = fresh_search(
+        &device,
+        EngineConfig::default()
             .with_opt(OptLevel::Sched)
             .with_approx(ApproxMode::ShrunkenAabb { factor: 0.5 }),
-    )
-    .search(&points, &queries)
-    .unwrap();
+        params,
+        &points,
+        &queries,
+    );
     assert!(approx.search_metrics.is_calls < exact.search_metrics.is_calls);
     assert!(approx.breakdown.search_ms < exact.breakdown.search_ms);
     let r2 = params.radius * params.radius;
@@ -154,11 +170,15 @@ fn simulated_time_grows_with_query_count() {
     let device = Device::rtx_2080();
     let points = dense_cloud(15_000);
     let params = SearchParams::knn(1.0, 8);
-    let engine = Rtnn::new(&device, RtnnConfig::new(params));
+    let config = EngineConfig::default();
     let small: Vec<Vec3> = points.iter().step_by(20).copied().collect();
     let large: Vec<Vec3> = points.iter().step_by(2).copied().collect();
-    let t_small = engine.search(&points, &small).unwrap().breakdown.search_ms;
-    let t_large = engine.search(&points, &large).unwrap().breakdown.search_ms;
+    let t_small = fresh_search(&device, config, params, &points, &small)
+        .breakdown
+        .search_ms;
+    let t_large = fresh_search(&device, config, params, &points, &large)
+        .breakdown
+        .search_ms;
     assert!(t_large > t_small);
 }
 
@@ -168,9 +188,7 @@ fn knn_results_are_sorted_by_distance() {
     let points = dense_cloud(5_000);
     let queries: Vec<Vec3> = points.iter().step_by(11).copied().collect();
     let params = SearchParams::knn(2.0, 10);
-    let results = Rtnn::new(&device, RtnnConfig::new(params))
-        .search(&points, &queries)
-        .unwrap();
+    let results = fresh_search(&device, EngineConfig::default(), params, &points, &queries);
     for (qi, q) in queries.iter().enumerate() {
         let dists: Vec<f32> = results.neighbors[qi]
             .iter()

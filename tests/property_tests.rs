@@ -10,13 +10,13 @@
 //!   and covers every partition exactly once;
 //! * BVHs built over arbitrary AABB sets validate structurally.
 
-#![allow(deprecated)] // the property suite drives the legacy `Rtnn` shim on purpose
+mod common;
 
+use common::fresh_search;
 use proptest::prelude::*;
 use rtnn::verify::check_all;
 use rtnn::{
-    plan_bundles, CostCoefficients, KnnAabbRule, OptLevel, Rtnn, RtnnConfig, SearchMode,
-    SearchParams,
+    plan_bundles, CostCoefficients, EngineConfig, KnnAabbRule, OptLevel, SearchMode, SearchParams,
 };
 use rtnn_bvh::{build_bvh, validate_bvh, BuildParams, BvhBuilder};
 use rtnn_gpusim::Device;
@@ -53,8 +53,8 @@ proptest! {
         let mode = if mode_is_knn { SearchMode::Knn } else { SearchMode::Range };
         let params = SearchParams { radius, k, mode };
         let opt = OptLevel::all()[opt_idx];
-        let engine = Rtnn::new(&device, RtnnConfig::new(params).with_opt(opt));
-        let results = engine.search(&points, &queries).unwrap();
+        let config = EngineConfig::default().with_opt(opt);
+        let results = fresh_search(&device, config, params, &points, &queries);
         prop_assert_eq!(results.neighbors.len(), queries.len());
         if let Err((q, e)) = check_all(&points, &queries, &params, &results.neighbors) {
             return Err(TestCaseError::fail(format!("{mode:?} {opt:?} query {q}: {e}")));

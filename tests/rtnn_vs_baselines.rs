@@ -2,10 +2,11 @@
 //! dataset family must agree with the brute-force oracle, on both search
 //! modes and at every optimisation level.
 
-#![allow(deprecated)] // the baseline comparison drives the legacy `Rtnn` shim on purpose
+mod common;
 
+use common::fresh_search;
 use rtnn::verify::check_all;
-use rtnn::{OptLevel, Rtnn, RtnnConfig, SearchMode, SearchParams};
+use rtnn::{EngineConfig, OptLevel, SearchMode, SearchParams};
 use rtnn_baselines::bruteforce::BruteForce;
 use rtnn_baselines::grid_knn::GridKnn;
 use rtnn_baselines::kdtree::KdTreeSearch;
@@ -49,8 +50,8 @@ fn rtnn_matches_oracle_on_every_dataset_family_and_opt_level() {
                 mode,
             };
             for opt in OptLevel::all() {
-                let engine = Rtnn::new(&device, RtnnConfig::new(params).with_opt(opt));
-                let results = engine.search(&points, &queries).unwrap();
+                let config = EngineConfig::default().with_opt(opt);
+                let results = fresh_search(&device, config, params, &points, &queries);
                 check_all(&points, &queries, &params, &results.neighbors)
                     .unwrap_or_else(|(q, e)| panic!("{name}, {mode:?}, {opt:?}, query {q}: {e}"));
             }
@@ -110,9 +111,13 @@ fn rtnn_and_kdtree_report_identical_knn_distance_profiles() {
     let cloud = Dataset::scaled(DatasetName::Dragon3_6M, 2000).generate();
     let queries = queries_of(&cloud.points);
     let params = SearchParams::knn(0.05, 8);
-    let rtnn = Rtnn::new(&device, RtnnConfig::new(params))
-        .search(&cloud.points, &queries)
-        .unwrap();
+    let rtnn = fresh_search(
+        &device,
+        EngineConfig::default(),
+        params,
+        &cloud.points,
+        &queries,
+    );
     let kd = KdTreeSearch
         .knn_search(
             &device,
@@ -150,9 +155,9 @@ fn results_are_deterministic_across_runs() {
     let cloud = Dataset::scaled(DatasetName::Kitti6M, 4000).generate();
     let queries = queries_of(&cloud.points);
     let params = SearchParams::knn(2.0, 6);
-    let engine = Rtnn::new(&device, RtnnConfig::new(params));
-    let a = engine.search(&cloud.points, &queries).unwrap();
-    let b = engine.search(&cloud.points, &queries).unwrap();
+    let config = EngineConfig::default();
+    let a = fresh_search(&device, config, params, &cloud.points, &queries);
+    let b = fresh_search(&device, config, params, &cloud.points, &queries);
     assert_eq!(a.neighbors, b.neighbors);
     assert_eq!(a.breakdown, b.breakdown);
     assert_eq!(a.search_metrics, b.search_metrics);
@@ -166,13 +171,21 @@ fn both_device_presets_agree_on_results_but_not_on_time() {
     let cloud = Dataset::scaled(DatasetName::Bunny360K, 300).generate();
     let queries = queries_of(&cloud.points);
     let params = SearchParams::range(0.03, 16);
-    let slow = Rtnn::new(&Device::rtx_2080(), RtnnConfig::new(params))
-        .search(&cloud.points, &queries)
-        .unwrap();
+    let slow = fresh_search(
+        &Device::rtx_2080(),
+        EngineConfig::default(),
+        params,
+        &cloud.points,
+        &queries,
+    );
     let fast_device = Device::rtx_2080_ti();
-    let fast = Rtnn::new(&fast_device, RtnnConfig::new(params))
-        .search(&cloud.points, &queries)
-        .unwrap();
+    let fast = fresh_search(
+        &fast_device,
+        EngineConfig::default(),
+        params,
+        &cloud.points,
+        &queries,
+    );
     assert_eq!(
         slow.neighbors, fast.neighbors,
         "results must be device-independent"

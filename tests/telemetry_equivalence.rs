@@ -24,7 +24,7 @@ use rtnn::telemetry::{
     verify_jsonl_roundtrip, FlightRecorder, SignatureProfiler, SloConfig, SloEvent, Telemetry,
     TelemetryLevel,
 };
-use rtnn::{Backend, EngineConfig, GpusimBackend, Index, OptixBackend, PlanSlice, QueryPlan};
+use rtnn::{Backend, EngineConfig, GpusimBackend, Index, PlanSlice, QueryPlan};
 use rtnn_baselines::BruteForceBackend;
 use rtnn_data::uniform::{self, UniformParams};
 use rtnn_gpusim::Device;
@@ -64,7 +64,7 @@ fn results_are_bit_equal_at_every_level_for_every_backend_and_plan_kind() {
     ];
     let backends: Vec<(&str, Box<dyn Backend + '_>)> = vec![
         ("gpusim", Box::new(GpusimBackend::new(&device))),
-        ("optix-shim", Box::new(OptixBackend::new(&device))),
+        ("optix-shim", Box::new(GpusimBackend::opaque(&device))),
         ("brute-force", Box::new(BruteForceBackend::new(&device))),
     ];
 
@@ -121,7 +121,7 @@ fn profiler_and_flight_recorder_are_bit_invisible_for_every_backend() {
     ];
     let backends: Vec<(&str, Box<dyn Backend + '_>)> = vec![
         ("gpusim", Box::new(GpusimBackend::new(&device))),
-        ("optix-shim", Box::new(OptixBackend::new(&device))),
+        ("optix-shim", Box::new(GpusimBackend::opaque(&device))),
         ("brute-force", Box::new(BruteForceBackend::new(&device))),
     ];
 
