@@ -73,7 +73,7 @@ impl<'d> Backend for BruteForceBackend<'d> {
 mod tests {
     use super::*;
     use rtnn::verify::{brute_force_knn, check_all};
-    use rtnn::{EngineConfig, Index, OptLevel, QueryPlan, SearchParams};
+    use rtnn::{EngineConfig, Index, OptLevel, QueryPlan, SearchParams, StageOverrides};
 
     fn cloud() -> Vec<Vec3> {
         (0..700)
@@ -91,9 +91,14 @@ mod tests {
         let points = cloud();
         let queries: Vec<Vec3> = points.iter().step_by(11).copied().collect();
         for opt in OptLevel::all() {
-            let mut index =
-                Index::build(&backend, &points[..], EngineConfig::default().with_opt(opt));
-            let knn = index.query(&queries, &QueryPlan::knn(1.3, 6)).unwrap();
+            let mut index = Index::build(&backend, &points[..], EngineConfig::default());
+            let knn = index
+                .query_with(
+                    &queries,
+                    &QueryPlan::knn(1.3, 6),
+                    StageOverrides::for_level(opt),
+                )
+                .unwrap();
             check_all(
                 &points,
                 &queries,

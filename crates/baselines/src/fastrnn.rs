@@ -3,12 +3,13 @@
 //! Evangelou et al. (JCGT 2021) also map neighbor search onto the RT cores,
 //! but without query scheduling, partitioning or bundling; the paper uses it
 //! as the "unoptimised ray-tracing-accelerated" baseline (65× slower than
-//! RTNN on KNN). That is exactly the `OptLevel::NoOpt` configuration of the
-//! `rtnn` engine, so this baseline is a thin wrapper — the comparison in
-//! Figure 11/13 is therefore apples-to-apples by construction.
+//! RTNN on KNN). That is exactly the `NoOpt` rung of the `rtnn` engine —
+//! an `Index` queried with `StageOverrides::for_level(OptLevel::NoOpt)` —
+//! so this baseline is a thin wrapper, and the comparison in Figure 11/13
+//! is apples-to-apples by construction.
 
 use crate::common::{Baseline, BaselineRun, SearchRequest};
-use rtnn::{EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan};
+use rtnn::{EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan, StageOverrides};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
 
@@ -40,13 +41,13 @@ impl Baseline for FastRnn {
         request: SearchRequest,
     ) -> Option<BaselineRun> {
         let backend = GpusimBackend::new(device);
-        let mut index = Index::build(
-            &backend,
-            points,
-            EngineConfig::default().with_opt(OptLevel::NoOpt),
-        );
+        let mut index = Index::build(&backend, points, EngineConfig::default());
         let results = index
-            .query(queries, &QueryPlan::knn(request.radius, request.k))
+            .query_with(
+                queries,
+                &QueryPlan::knn(request.radius, request.k),
+                StageOverrides::for_level(OptLevel::NoOpt),
+            )
             .ok()?;
         Some(BaselineRun {
             neighbors: results.neighbors,

@@ -19,8 +19,8 @@
 //!   validated against.
 //! * [`fastrnn`] — FastRNN: the RT-core mapping *without* RTNN's
 //!   optimisations (query scheduling / partitioning / bundling), i.e. the
-//!   `OptLevel::NoOpt` configuration of the `rtnn` crate, KNN only like the
-//!   original.
+//!   `NoOpt` rung of the `rtnn` crate (`StageOverrides::for_level`), KNN
+//!   only like the original.
 //!
 //! Every baseline returns a [`BaselineRun`] with the neighbor lists and the
 //! simulated time split into build / search / transfer components, and every

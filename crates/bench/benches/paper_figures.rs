@@ -7,7 +7,10 @@
 //! implementation itself are caught by `cargo bench`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rtnn::{EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan, SearchMode, SearchParams};
+use rtnn::{
+    EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan, SearchMode, SearchParams,
+    StageOverrides,
+};
 use rtnn_baselines::fastrnn::FastRnn;
 use rtnn_baselines::grid_knn::GridKnn;
 use rtnn_baselines::kdtree::KdTreeSearch;
@@ -88,14 +91,14 @@ fn bench_rtnn_opt_levels(c: &mut Criterion) {
                 mode,
             };
             let backend = GpusimBackend::new(&device);
-            let cfg = EngineConfig::default().with_opt(opt);
             let plan = QueryPlan::from_params(params);
+            let rung = StageOverrides::for_level(opt);
             let id = BenchmarkId::new(format!("{mode:?}"), opt.label());
             group.bench_function(id, |b| {
                 // Fresh index per iteration: the full cold-start pipeline.
                 b.iter(|| {
-                    Index::build(&backend, &f.points[..], cfg)
-                        .query(&f.queries, &plan)
+                    Index::build(&backend, &f.points[..], EngineConfig::default())
+                        .query_with(&f.queries, &plan, rung)
                         .unwrap()
                 });
             });

@@ -1,4 +1,4 @@
-//! Extension figure: adaptive stage tuning (`EngineConfig::auto()`) vs the
+//! Extension figure: adaptive stage tuning (`Index::enable_auto`) vs the
 //! static `OptLevel` ladder — regret, recovered regression gap, and the
 //! bit-equality proof that tuning never changes answers.
 

@@ -10,7 +10,10 @@
 use crate::report::{fmt_ms, headline_slug, FigureReport, Table};
 use crate::scale::ExperimentScale;
 use crate::workloads::{Workload, DEFAULT_K};
-use rtnn::{EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan, SearchMode, SearchParams};
+use rtnn::{
+    EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan, SearchMode, SearchParams,
+    StageOverrides,
+};
 use rtnn_data::DatasetName;
 use rtnn_gpusim::Device;
 
@@ -25,11 +28,13 @@ fn time_of(device: &Device, workload: &Workload, mode: SearchMode, opt: OptLevel
     Index::build(
         &backend,
         &workload.points[..],
-        EngineConfig::default()
-            .with_opt(opt)
-            .with_knn_rule(rtnn::KnnAabbRule::EquiVolume),
+        EngineConfig::default().with_knn_rule(rtnn::KnnAabbRule::EquiVolume),
     )
-    .query(&workload.queries, &QueryPlan::from_params(params))
+    .query_with(
+        &workload.queries,
+        &QueryPlan::from_params(params),
+        StageOverrides::for_level(opt),
+    )
     .expect("ablation workload fits the device")
     .total_time_ms()
 }

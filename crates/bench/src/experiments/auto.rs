@@ -10,7 +10,8 @@
 //! * every (dataset × mode) cell runs the full static ladder to
 //!   steady state (second, warm run per rung — the regime an online
 //!   policy competes in) through [`rtnn::StageOverrides::for_level`];
-//! * the same cell then runs under `EngineConfig::auto()` for a handful
+//! * the same cell then runs on an index holding a tuner
+//!   ([`rtnn::Index::enable_auto`]) for a handful
 //!   of rounds: cost-model cold start, one bootstrap round per arm, then
 //!   measured exploitation;
 //! * headlines: `auto_regret_vs_best_pct` (worst-case loss to the best
@@ -25,8 +26,8 @@ use crate::report::{fmt_ms, headline_slug, FigureReport, Table};
 use crate::scale::ExperimentScale;
 use crate::workloads::{Workload, DEFAULT_K};
 use rtnn::{
-    DecisionSource, EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan, SearchMode,
-    SearchParams, StageOverrides, Tuning,
+    autotune::DEFAULT_SEED, DecisionSource, EngineConfig, GpusimBackend, Index, OptLevel,
+    QueryPlan, SearchMode, SearchParams, StageOverrides,
 };
 use rtnn_data::DatasetName;
 use rtnn_gpusim::Device;
@@ -144,11 +145,8 @@ fn run_cell(device: &Device, workload: &Workload, mode: SearchMode) -> Cell {
     // Auto: a fresh index with the tuner enabled, run until it has
     // exploited its measurements for a few rounds (cap as a safety net —
     // with the deterministic seed the cap is never the exit path).
-    let mut auto = Index::build(
-        &backend,
-        &workload.points[..],
-        config.with_tuning(Tuning::auto()),
-    );
+    let mut auto = Index::build(&backend, &workload.points[..], config);
+    auto.enable_auto(DEFAULT_SEED);
     let mut steady_auto_ms = f64::NAN;
     let mut chosen = OptLevel::default();
     let mut measured = 0usize;

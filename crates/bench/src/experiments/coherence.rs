@@ -9,7 +9,7 @@
 use crate::report::{fmt_ms, FigureReport, Table};
 use crate::scale::ExperimentScale;
 use crate::workloads::{characterization_workload, DEFAULT_K};
-use rtnn::{raster_order, EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan};
+use rtnn::{raster_order, EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan, StageOverrides};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
 use rtnn_optix::LaunchMetrics;
@@ -41,13 +41,13 @@ fn run_ordered(
     radius: f32,
 ) -> (f64, LaunchMetrics) {
     let backend = GpusimBackend::new(device);
-    let results = Index::build(
-        &backend,
-        points,
-        EngineConfig::default().with_opt(OptLevel::NoOpt),
-    )
-    .query(queries, &QueryPlan::knn(radius, DEFAULT_K))
-    .expect("coherence workload fits the device");
+    let results = Index::build(&backend, points, EngineConfig::default())
+        .query_with(
+            queries,
+            &QueryPlan::knn(radius, DEFAULT_K),
+            StageOverrides::for_level(OptLevel::NoOpt),
+        )
+        .expect("coherence workload fits the device");
     (results.breakdown.search_ms, results.search_metrics)
 }
 

@@ -30,6 +30,10 @@
 //!                          AutoTuner::observe (EWMA fold)
 //! ```
 //!
+//! [`AutoTuner::run`] is that round-trip in one call, used by every holder:
+//! [`Index::enable_auto`](crate::Index::enable_auto), a `DynamicIndex`
+//! across frames, and the serving layer per coalesced tick.
+//!
 //! The four arms are the [`OptLevel`] ladder expressed as fully pinned
 //! [`StageOverrides`] sets, so a decision changes *which stages run*, never
 //! the answer: every arm is already pinned bit-equal across the ladder and
@@ -47,6 +51,8 @@
 
 use crate::cost_model::CostCoefficients;
 use crate::pipeline::{OptLevel, StageOverrides};
+use crate::plan::SearchError;
+use crate::result::SearchResults;
 use rtnn_telemetry::{density_bucket, ProfileSnapshot};
 use std::collections::BTreeMap;
 
@@ -64,35 +70,6 @@ const DECAY_ALPHA: f64 = 0.2;
 /// Observations kept per arm for the exact p50 (small and bounded: the
 /// tuner is consulted on every query).
 const P50_WINDOW: usize = 9;
-
-/// Whether an [`Index`](crate::Index) picks its pipeline stages statically
-/// (from [`EngineConfig::opt`](crate::EngineConfig)) or through a seeded
-/// [`AutoTuner`]. Carried by value on the `Copy` config; the mutable tuner
-/// state itself lives on the index / dynamic index / query service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Tuning {
-    /// `EngineConfig::opt` decides every stage (the historical behaviour).
-    #[default]
-    Static,
-    /// An [`AutoTuner`] seeded with `seed` picks an [`OptLevel`] arm per
-    /// query from the cost model and measured per-stage timings.
-    Auto {
-        /// Policy seed for the deterministic ε-greedy stream.
-        seed: u64,
-    },
-}
-
-impl Tuning {
-    /// Auto tuning under the default seed.
-    pub fn auto() -> Self {
-        Tuning::Auto { seed: DEFAULT_SEED }
-    }
-
-    /// True for [`Tuning::Auto`].
-    pub fn is_auto(&self) -> bool {
-        matches!(self, Tuning::Auto { .. })
-    }
-}
 
 /// Why a decision picked its arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,15 +94,10 @@ pub struct TunerDecision {
 }
 
 impl TunerDecision {
-    /// The fully pinned override set this decision runs — bit-equal to a
-    /// static engine configured at [`Self::level`].
+    /// The fully pinned override set this decision runs:
+    /// [`StageOverrides::for_level`] of [`Self::level`].
     pub fn overrides(&self) -> StageOverrides<'static> {
         StageOverrides::for_level(self.level)
-    }
-
-    /// True when the arm was picked to gather data rather than to win.
-    pub fn explored(&self) -> bool {
-        self.source == DecisionSource::Explore
     }
 }
 
@@ -249,7 +221,7 @@ impl TunerReport {
 }
 
 /// The online stage-selection policy (see module docs). One instance per
-/// tuning domain: an [`Index`](crate::Index) in auto mode owns one, a
+/// tuning domain: an [`Index`](crate::Index) may hold one, a
 /// `DynamicIndex` carries one across frames, a `QueryService` applies one
 /// per coalesced tick.
 #[derive(Debug, Clone)]
@@ -265,7 +237,8 @@ pub struct AutoTuner {
 impl AutoTuner {
     /// A fresh tuner under `seed`. Attach a calibrated cost model with
     /// [`Self::with_cost_model`] for a device-aware first shot; without one
-    /// the cold start falls back to the engine default (`OptLevel::Full`).
+    /// the cold start falls back to [`OptLevel::Full`], the stages a call
+    /// with no overrides runs.
     pub fn new(seed: u64) -> Self {
         AutoTuner {
             seed,
@@ -289,20 +262,12 @@ impl AutoTuner {
         self
     }
 
-    /// [`Self::with_cost_model`] by mutation (the serving layer attaches
-    /// the executor's calibration lazily).
-    pub fn set_cost_model(&mut self, cost: CostCoefficients) {
-        self.cost = Some(cost);
-    }
-
-    /// True once a cost model is attached.
-    pub fn has_cost_model(&self) -> bool {
-        self.cost.is_some()
-    }
-
-    /// The policy seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
+    /// Attach `cost()` unless a cost model is attached already (the
+    /// serving layer hands over its executor's calibration lazily).
+    pub fn ensure_cost_model(&mut self, cost: impl FnOnce() -> Option<CostCoefficients>) {
+        if self.cost.is_none() {
+            self.cost = cost();
+        }
     }
 
     /// Total decisions made across all signatures.
@@ -385,10 +350,37 @@ impl AutoTuner {
             .observe(stage_device_ms, structure_ms);
     }
 
+    /// One decide → execute → observe round-trip: run `execute` under the
+    /// decided arm's [`StageOverrides`] and, if it succeeded, fold its
+    /// per-stage timings back in net of `breakdown.bvh_ms` (structure
+    /// builds and maintenance; see module docs).
+    pub fn run(
+        &mut self,
+        plan_kind: &str,
+        points: usize,
+        backend: &str,
+        queries: usize,
+        execute: impl FnOnce(StageOverrides<'static>) -> Result<SearchResults, SearchError>,
+    ) -> (TunerDecision, Result<SearchResults, SearchError>) {
+        let decision = self.decide(plan_kind, points, backend, queries);
+        let result = execute(decision.overrides());
+        if let Ok(results) = &result {
+            self.observe(
+                plan_kind,
+                points,
+                backend,
+                decision.level,
+                &results.trace.stage_device_ms(),
+                results.breakdown.bvh_ms,
+            );
+        }
+        (decision, result)
+    }
+
     /// Replay a recorded [`ProfileSnapshot`] into the tuner: every
     /// signature's per-stage EWMA means and total p50 seed the arm that
-    /// `recorded_under` names (the static level the profile was collected
-    /// at). Arms that already hold live measurements are left alone —
+    /// `recorded_under` names (the rung the profile was collected at —
+    /// [`OptLevel::Full`] for calls made without overrides). Arms that already hold live measurements are left alone —
     /// replay is a warm start, not an override. Deterministic: the same
     /// snapshot always produces the same state.
     pub fn absorb_profile(&mut self, snapshot: &ProfileSnapshot, recorded_under: OptLevel) {
@@ -620,6 +612,30 @@ mod tests {
     }
 
     #[test]
+    fn run_observes_successes_only_and_net_of_structure_builds() {
+        let mut t = AutoTuner::new(5).with_cost_model(calibrated());
+        let failed = t.run("knn", 9_000, "gpusim", 500, |_| {
+            Err(SearchError::InvalidPlan(crate::PlanError::EmptyBatch))
+        });
+        assert!(failed.1.is_err());
+        assert_eq!(t.report()[0].measured_arms, 0, "a failure is not observed");
+
+        let mut results = SearchResults::default();
+        results.trace.charge(crate::StageKind::Launch, 100.0, 0.0);
+        results.breakdown.bvh_ms = 99.0;
+        let (d, _) = t.run("knn", 9_000, "gpusim", 500, |overrides| {
+            assert!(!overrides.is_empty(), "the decided rung is pinned");
+            Ok(results)
+        });
+        let report = &t.report()[0];
+        assert_eq!((report.decisions, report.measured_arms), (2, 1));
+        assert_eq!(
+            report.arm_score_ms[d.level as usize], 1.0,
+            "builds excluded"
+        );
+    }
+
+    #[test]
     fn absorbed_profiles_seed_decisions_without_live_measurements() {
         use rtnn_telemetry::{ProfileSample, SignatureProfiler};
         let mut profiler = SignatureProfiler::new(0.2);
@@ -656,12 +672,5 @@ mod tests {
         assert_eq!(r[0].decisions, 1);
         assert_eq!(r[0].choice, None, "nothing measured yet");
         assert_eq!(t.decisions(), 1);
-    }
-
-    #[test]
-    fn tuning_knob_defaults_to_static() {
-        assert_eq!(Tuning::default(), Tuning::Static);
-        assert!(Tuning::auto().is_auto());
-        assert!(!Tuning::Static.is_auto());
     }
 }

@@ -11,9 +11,11 @@
 //! * [`QueryPlan`] — passed per call to [`Index::query`], validated at
 //!   query time with typed [`PlanError`]s.
 //!
-//! Engine-wide tuning that is *not* per-query (optimisation level, KNN
-//! AABB rule, approximation mode, grid budget, BVH build knobs) lives in
-//! [`EngineConfig`].
+//! Engine-wide settings that are *not* per-query (KNN AABB rule,
+//! approximation mode, grid budget, BVH build knobs) live in
+//! [`EngineConfig`]. Which pipeline stages run is chosen per call with
+//! [`StageOverrides`] ([`Index::query_with`]), or per call by an
+//! [`AutoTuner`] the index holds ([`Index::enable_auto`]).
 //!
 //! ```
 //! use rtnn::{EngineConfig, GpusimBackend, Index, QueryPlan};
@@ -37,16 +39,16 @@
 //! ```
 
 use crate::approx::ApproxMode;
-use crate::autotune::{AutoTuner, TunerDecision, Tuning};
+use crate::autotune::{AutoTuner, TunerDecision};
 use crate::backend::{Accel, AccelRef, Backend};
 use crate::cost_model::CostCoefficients;
 use crate::megacell::MegacellGrid;
 use crate::partition::{KnnAabbRule, MegacellCache};
 use crate::pipeline::{
-    host_ms_since, ExecutionPipeline, GatheredHits, OptLevel, PipelineTrace, ScheduleCx, StageKind,
-    StageOverrides,
+    empty_results, host_ms_since, ExecutionPipeline, GatheredHits, OptLevel, PipelineTrace,
+    StageKind, StageOverrides,
 };
-use crate::plan::{PlanError, PlanSlice, QueryPlan, SearchError};
+use crate::plan::{validate_queries, PlanError, PlanSlice, QueryPlan, SearchError};
 use crate::result::{SearchParams, SearchResults, TimeBreakdown};
 use rtnn_bvh::BuildParams;
 use rtnn_gpusim::kernel::point_cloud_bytes;
@@ -57,12 +59,11 @@ use rtnn_telemetry::{ProfileSample, Telemetry};
 use std::borrow::Cow;
 use std::time::Instant;
 
-/// Engine-wide tuning, shared by every plan an [`Index`] serves. Per-query
-/// parameters (radius, K, variant) live in the [`QueryPlan`] instead.
+/// Engine-wide settings, shared by every plan an [`Index`] serves.
+/// Per-query parameters (radius, K, variant) live in the [`QueryPlan`], and
+/// the pipeline stages in the per-call [`StageOverrides`].
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Which of the paper's optimisations are enabled.
-    pub opt: OptLevel,
     /// BVH builder configuration.
     pub build: BuildParams,
     /// How KNN partition AABB widths are derived (default: guaranteed-exact).
@@ -72,48 +73,20 @@ pub struct EngineConfig {
     /// Grid-resolution budget for the megacell pass (stands in for the GPU
     /// memory cap the paper mentions). Must be at least 1.
     pub grid_max_cells: usize,
-    /// Static stage selection from [`Self::opt`] (the default) or adaptive
-    /// per-query selection through a seeded [`AutoTuner`]
-    /// (see [`EngineConfig::auto`]).
-    pub tuning: Tuning,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            opt: OptLevel::Full,
             build: BuildParams::default(),
             knn_rule: KnnAabbRule::default(),
             approx: ApproxMode::default(),
             grid_max_cells: 1 << 21,
-            tuning: Tuning::Static,
         }
     }
 }
 
 impl EngineConfig {
-    /// The default configuration with adaptive stage selection: every
-    /// query on an index built from this config is routed through an
-    /// [`AutoTuner`] (seeded with [`DEFAULT_SEED`](crate::autotune)) that
-    /// picks the [`OptLevel`] arm per (plan kind, density bucket, backend)
-    /// signature — cost-model first shot, measured per-stage timings after.
-    /// Explicit [`StageOverrides`] on [`Index::query_with`] still win.
-    pub fn auto() -> Self {
-        EngineConfig::default().with_tuning(Tuning::auto())
-    }
-
-    /// Set the tuning mode (static level vs seeded auto-tuner).
-    pub fn with_tuning(mut self, tuning: Tuning) -> Self {
-        self.tuning = tuning;
-        self
-    }
-
-    /// Set the optimisation level.
-    pub fn with_opt(mut self, opt: OptLevel) -> Self {
-        self.opt = opt;
-        self
-    }
-
     /// Set the BVH build parameters.
     pub fn with_build(mut self, build: BuildParams) -> Self {
         self.build = build;
@@ -132,20 +105,10 @@ impl EngineConfig {
         self
     }
 
-    /// Set the megacell grid budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics on `cells == 0` with a clear message — a zero-cell grid
-    /// budget silently disabled partitioning in earlier versions. (Configs
-    /// assembled by hand are additionally rejected with
-    /// [`PlanError::ZeroGridBudget`] at query time.)
+    /// Set the megacell grid budget. A budget of 0 is rejected with
+    /// [`PlanError::ZeroGridBudget`] by [`Self::validate`], which every
+    /// query and warm-up runs.
     pub fn with_grid_max_cells(mut self, cells: usize) -> Self {
-        assert!(
-            cells >= 1,
-            "error: grid_max_cells must be a positive cell budget, got 0 \
-             (the megacell pass needs at least one grid cell)"
-        );
         self.grid_max_cells = cells;
         self
     }
@@ -288,24 +251,6 @@ pub(crate) struct SceneRefs<'s> {
     pub cache: Option<&'s mut MegacellCache>,
 }
 
-fn empty_results(
-    num_queries: usize,
-    breakdown: TimeBreakdown,
-    search_metrics: LaunchMetrics,
-    fs_metrics: LaunchMetrics,
-    trace: PipelineTrace,
-) -> SearchResults {
-    SearchResults {
-        neighbors: vec![Vec::new(); num_queries],
-        breakdown,
-        search_metrics,
-        fs_metrics,
-        num_partitions: 0,
-        num_bundles: 0,
-        trace,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Index
 // ---------------------------------------------------------------------------
@@ -362,8 +307,8 @@ pub struct Index<'a> {
     cache_params: Option<SearchParams>,
     dirty_region: Aabb,
     pending_structure_ms: f64,
-    /// Lazily created when `config.tuning` is auto (or installed via
-    /// [`Index::set_tuner`]); owns the per-signature decision state.
+    /// Installed by [`Index::enable_auto`] or [`Index::set_tuner`]; while
+    /// present, every call without explicit overrides is tuned.
     tuner: Option<AutoTuner>,
     /// The most recent auto-tuning decision, `None` until one was made.
     last_decision: Option<TunerDecision>,
@@ -404,24 +349,15 @@ impl<'a> Index<'a> {
         config: EngineConfig,
         scene: AdoptedScene<'a>,
     ) -> Self {
-        let mut store = AccelStore::new();
-        store.adopt(scene.accel);
-        Index {
-            backend,
-            config,
-            points: Cow::Borrowed(points),
-            store,
-            grid: match scene.grid {
-                Some(g) => GridSlot::Shared(g),
-                None => GridSlot::Unbuilt,
-            },
-            cache: scene.cache,
-            cache_params: scene.cache_params,
-            dirty_region: scene.dirty_region,
-            pending_structure_ms: 0.0,
-            tuner: None,
-            last_decision: None,
+        let mut index = Index::build(backend, points, config);
+        index.store.adopt(scene.accel);
+        if let Some(g) = scene.grid {
+            index.grid = GridSlot::Shared(g);
         }
+        index.cache = scene.cache;
+        index.cache_params = scene.cache_params;
+        index.dirty_region = scene.dirty_region;
+        index
     }
 
     /// The points the index was built over.
@@ -462,25 +398,37 @@ impl<'a> Index<'a> {
         self.pending_structure_ms += ms;
     }
 
-    /// The auto-tuner's most recent decision on this index (`None` until
-    /// an auto-tuned query ran).
-    pub fn last_decision(&self) -> Option<TunerDecision> {
-        self.last_decision
-    }
-
-    /// The index's tuner state, once auto tuning made a decision (or a
-    /// tuner was installed with [`Self::set_tuner`]).
-    pub fn tuner(&self) -> Option<&AutoTuner> {
-        self.tuner.as_ref()
+    /// Hold an [`AutoTuner`] seeded with `seed`: from now on it picks the
+    /// [`OptLevel`] rung of every call made without explicit
+    /// [`StageOverrides`] — cost model (calibrated for the backend's device)
+    /// first, measured per-stage timings after. An armed ambient profiler's
+    /// snapshot warm-starts it as measurements of [`OptLevel::Full`], the
+    /// stages an untuned call runs.
+    pub fn enable_auto(&mut self, seed: u64) {
+        let mut tuner = AutoTuner::new(seed)
+            .with_cost_model(CostCoefficients::calibrate(self.backend.device()));
+        if let Some(snapshot) = Telemetry::current().and_then(|t| t.profile_snapshot()) {
+            tuner.absorb_profile(&snapshot, OptLevel::Full);
+        }
+        self.tuner = Some(tuner);
     }
 
     /// Install pre-seeded tuner state (e.g. warmed from a persisted
     /// [`ProfileSnapshot`](rtnn_telemetry::ProfileSnapshot) via
-    /// [`AutoTuner::absorb_profile`]) and switch the index to auto tuning
-    /// under the tuner's seed.
+    /// [`AutoTuner::absorb_profile`]) as is.
     pub fn set_tuner(&mut self, tuner: AutoTuner) {
-        self.config.tuning = Tuning::Auto { seed: tuner.seed() };
         self.tuner = Some(tuner);
+    }
+
+    /// The tuner the index holds, if any.
+    pub fn tuner(&self) -> Option<&AutoTuner> {
+        self.tuner.as_ref()
+    }
+
+    /// The tuner's most recent decision on this index (`None` until a
+    /// tuned query succeeded).
+    pub fn last_decision(&self) -> Option<TunerDecision> {
+        self.last_decision
     }
 
     /// Pre-build every structure (and the megacell grid) that `plan` would
@@ -494,50 +442,32 @@ impl<'a> Index<'a> {
     /// scene's structure cost, not free work.
     pub fn warm(&mut self, plan: &QueryPlan) -> Result<f64, SearchError> {
         self.config.validate()?;
-        let backend = self.backend;
         let cfg = self.config;
         let plan = plan.normalized();
-        let pipeline = ExecutionPipeline::with_overrides(backend, &cfg, StageOverrides::default());
-        let mut widths: Vec<f32> = Vec::new();
-        match plan.as_ref() {
-            QueryPlan::Batch(slices) => {
-                if slices.is_empty() {
-                    return Err(SearchError::InvalidPlan(PlanError::EmptyBatch));
-                }
-                // Validate each slice's parameters; id-coverage checks are
-                // deferred to query time (warm has no query array).
-                for slice in slices {
-                    slice.plan.validate(0)?;
-                }
-                if pipeline.schedule_stage().needs_structure() {
-                    let max_r = slices
-                        .iter()
-                        .filter_map(|s| s.plan.params())
-                        .map(|p| p.radius)
-                        .fold(0.0f32, f32::max);
-                    widths.push(2.0 * max_r * cfg.approx.aabb_width_factor());
-                }
-                for slice in slices {
-                    if let Some(params) = slice.plan.params() {
-                        widths.push(2.0 * params.radius * cfg.approx.aabb_width_factor());
-                    }
-                }
+        let plans: Vec<&QueryPlan> = match plan.as_ref() {
+            QueryPlan::Batch(slices) if slices.is_empty() => {
+                return Err(PlanError::EmptyBatch.into())
             }
-            single => {
-                single.validate(0)?;
-                let params = single.params().expect("non-batch plan has params");
-                widths.push(2.0 * params.radius * cfg.approx.aabb_width_factor());
-            }
+            QueryPlan::Batch(slices) => slices.iter().map(|s| &s.plan).collect(),
+            single => vec![single],
+        };
+        // Warm-up provisions what the default (full) pipeline demands: the
+        // coherence schedule's widest structure, one structure per plan
+        // width, and the megacell grid.
+        let factor = cfg.approx.aabb_width_factor();
+        let mut widths = vec![2.0 * plan.max_radius() * factor];
+        for single in plans {
+            // Id-coverage checks wait for query time (warm has no queries).
+            single.validate(0)?;
+            widths.push(2.0 * single.max_radius() * factor);
         }
         if self.points.is_empty() {
             return Ok(0.0);
         }
         let built_ms = self
             .store
-            .ensure_many(backend, &self.points, &widths, cfg.build)?;
-        if pipeline.partition_stage().wants_grid() {
-            grid_for(&mut self.grid, &self.points, cfg.grid_max_cells);
-        }
+            .ensure_many(self.backend, &self.points, &widths, cfg.build)?;
+        grid_for(&mut self.grid, &self.points, cfg.grid_max_cells);
         self.pending_structure_ms += built_ms;
         Ok(built_ms)
     }
@@ -546,9 +476,10 @@ impl<'a> Index<'a> {
     ///
     /// The plan is normalized ([`QueryPlan::normalized`]: nested batches
     /// flattened, same-parameter slices merged) and then validated
-    /// ([`PlanError`] names the offending field). [`QueryPlan::Batch`]
-    /// answers heterogeneous plans in one call, sharing a single scheduling
-    /// pass and every cached structure.
+    /// ([`PlanError`] names the offending field), and so are the queries
+    /// ([`validate_queries`]: a NaN or infinite coordinate fails the call).
+    /// [`QueryPlan::Batch`] answers heterogeneous plans in one call,
+    /// sharing a single scheduling pass and every cached structure.
     pub fn query(
         &mut self,
         queries: &[Vec3],
@@ -559,9 +490,10 @@ impl<'a> Index<'a> {
 
     /// [`query`](Self::query) with per-call [`StageOverrides`]: replace or
     /// disable individual pipeline stages for this one call (e.g.
-    /// [`StageOverrides::without_reordering`] runs the plan without the
-    /// coherence schedule while every other stage keeps its default). See
-    /// the [`pipeline`](crate::pipeline) module docs.
+    /// [`StageOverrides::without_reordering`], or
+    /// [`StageOverrides::for_level`] for one rung of the paper's ladder).
+    /// A held tuner ([`Self::enable_auto`]) decides exactly the calls whose
+    /// `overrides` are empty. See the [`pipeline`](crate::pipeline) docs.
     pub fn query_with(
         &mut self,
         queries: &[Vec3],
@@ -574,9 +506,11 @@ impl<'a> Index<'a> {
         let plan = plan.resolve_caps(self.points.len());
         let plan = plan.normalized();
         plan.validate(queries.len())?;
+        validate_queries(queries)?;
+        let kind = plan.as_ref().kind_label();
         let tel = Telemetry::current();
         let mut query_span = tel.as_ref().map(|t| {
-            t.span(match plan.as_ref().kind_label() {
+            t.span(match kind {
                 "knn" => "index.query.knn",
                 "range" => "index.query.range",
                 _ => "index.query.batch",
@@ -586,74 +520,19 @@ impl<'a> Index<'a> {
             t.counter_add("index.queries", 1);
             t.counter_add("index.query_points", queries.len() as u64);
         }
-        // Auto tuning: when the config asks for it and the caller pinned no
-        // stage explicitly, a seeded `AutoTuner` picks the OptLevel arm for
-        // this call. The tuner is created on first use, warm-started from
-        // the continuous profiler's snapshot when one is armed (those
-        // measurements were collected under the static `config.opt` level).
-        let decision = match self.config.tuning {
-            Tuning::Auto { seed } if overrides.is_empty() => {
-                if self.tuner.is_none() {
-                    let mut tuner = AutoTuner::new(seed)
-                        .with_cost_model(CostCoefficients::calibrate(self.backend.device()));
-                    if let Some(snapshot) = tel.as_ref().and_then(|t| t.profile_snapshot()) {
-                        tuner.absorb_profile(&snapshot, self.config.opt);
-                    }
-                    self.tuner = Some(tuner);
+        let result = match self.tuner.take_if(|_| overrides.is_empty()) {
+            Some(mut tuner) => {
+                let (points, backend) = (self.points.len(), self.backend.name());
+                let (decision, result) = tuner.run(kind, points, backend, queries.len(), |o| {
+                    self.execute(queries, &plan, o)
+                });
+                self.tuner = Some(tuner);
+                if result.is_ok() {
+                    self.last_decision = Some(decision);
                 }
-                let tuner = self.tuner.as_mut().expect("tuner installed above");
-                Some(tuner.decide(
-                    plan.as_ref().kind_label(),
-                    self.points.len(),
-                    self.backend.name(),
-                    queries.len(),
-                ))
+                result
             }
-            _ => None,
-        };
-        let overrides = match decision {
-            Some(d) => d.overrides(),
-            None => overrides,
-        };
-        let result = match plan.as_ref() {
-            QueryPlan::Batch(slices) => self.query_batch(queries, slices, overrides),
-            single => {
-                let params = single.params().expect("non-batch plan has params");
-                let backend = self.backend;
-                let cfg = self.config;
-                let pipeline = ExecutionPipeline::with_overrides(backend, &cfg, overrides);
-                // The persistent grid is provisioned exactly when the
-                // *resolved* partition stage wants it — a per-call override
-                // can both skip the grid (partitioning disabled for this
-                // call) and hit the cached one (partitioning enabled on a
-                // no-partitioning engine).
-                let grid = if pipeline.partition_stage().wants_grid() {
-                    grid_for(&mut self.grid, &self.points, cfg.grid_max_cells)
-                } else {
-                    None
-                };
-                // The adopted dirty region is applied on *every* query for
-                // the lifetime of this view (re-invalidating an entry that
-                // was already recomputed is wasted work, never wrong); the
-                // adopting owner decides when the invalidation has been
-                // durably absorbed and stops resupplying it.
-                // An adopted cache serves exactly the params it was
-                // grown under; other plans bypass it (reading its entries
-                // would be wrong, wiping them would cost the owner its
-                // warm state).
-                let cache_matches = self.cache_params.is_none_or(|cp| cp == params);
-                let scene = SceneRefs {
-                    structure_ms: std::mem::take(&mut self.pending_structure_ms),
-                    grid,
-                    dirty_region: self.dirty_region,
-                    cache: if cache_matches {
-                        self.cache.as_deref_mut()
-                    } else {
-                        None
-                    },
-                };
-                pipeline.execute(params, &self.points, queries, &mut self.store, scene)
-            }
+            None => self.execute(queries, &plan, overrides),
         };
         if let (Some(span), Ok(results)) = (query_span.as_mut(), result.as_ref()) {
             span.attr("queries", queries.len() as f64)
@@ -664,7 +543,7 @@ impl<'a> Index<'a> {
         if let (Some(t), Ok(results)) = (tel.as_ref(), result.as_ref()) {
             if t.profiler_enabled() {
                 t.profile(&ProfileSample {
-                    plan_kind: plan.as_ref().kind_label(),
+                    plan_kind: kind,
                     points: self.points.len(),
                     backend: self.backend.name(),
                     queries: queries.len() as u64,
@@ -672,23 +551,51 @@ impl<'a> Index<'a> {
                 });
             }
         }
-        // The tuner learns from the same per-stage timings the profiler
-        // records; `bvh_ms` (one-time structure builds) is excluded so arms
-        // compete on steady-state cost.
-        if let (Some(d), Ok(results)) = (decision, result.as_ref()) {
-            if let Some(tuner) = self.tuner.as_mut() {
-                tuner.observe(
-                    plan.as_ref().kind_label(),
-                    self.points.len(),
-                    self.backend.name(),
-                    d.level,
-                    &results.trace.stage_device_ms(),
-                    results.breakdown.bvh_ms,
-                );
-            }
-            self.last_decision = Some(d);
-        }
         result
+    }
+
+    /// Run a validated, normalized plan through the pipeline under
+    /// `overrides`.
+    fn execute(
+        &mut self,
+        queries: &[Vec3],
+        plan: &QueryPlan,
+        overrides: StageOverrides<'_>,
+    ) -> Result<SearchResults, SearchError> {
+        let params = match plan {
+            QueryPlan::Batch(slices) => return self.query_batch(queries, slices, overrides),
+            single => single.params().expect("non-batch plan has params"),
+        };
+        let cfg = self.config;
+        let pipeline = ExecutionPipeline {
+            backend: self.backend,
+            config: &cfg,
+            overrides,
+        };
+        // The persistent grid is provisioned exactly when the *resolved*
+        // partition stage wants it — a per-call override can both skip the
+        // grid (partitioning disabled for this call) and build it.
+        let grid = if overrides.partition_stage().wants_grid() {
+            grid_for(&mut self.grid, &self.points, cfg.grid_max_cells)
+        } else {
+            None
+        };
+        // The adopted dirty region is applied on *every* query for the
+        // lifetime of this view (re-invalidating an entry that was already
+        // recomputed is wasted work, never wrong); the adopting owner
+        // decides when the invalidation has been durably absorbed and stops
+        // resupplying it.
+        // An adopted cache serves exactly the params it was grown under;
+        // other plans bypass it (reading its entries would be wrong, wiping
+        // them would cost the owner its warm state).
+        let cache_matches = self.cache_params.is_none_or(|cp| cp == params);
+        let scene = SceneRefs {
+            structure_ms: std::mem::take(&mut self.pending_structure_ms),
+            grid,
+            dirty_region: self.dirty_region,
+            cache: self.cache.as_deref_mut().filter(|_| cache_matches),
+        };
+        pipeline.execute(params, &self.points, queries, &mut self.store, scene)
     }
 
     /// The heterogeneous-batch path: one shared `Schedule` stage over every
@@ -712,7 +619,11 @@ impl<'a> Index<'a> {
         let backend = self.backend;
         let cfg = self.config;
         let device = backend.device();
-        let pipeline = ExecutionPipeline::with_overrides(backend, &cfg, overrides);
+        let pipeline = ExecutionPipeline {
+            backend,
+            config: &cfg,
+            overrides,
+        };
         let slice_params: Vec<(SearchParams, &[u32])> = slices
             .iter()
             .map(|s| {
@@ -740,43 +651,35 @@ impl<'a> Index<'a> {
         if pending_structure_ms > 0.0 {
             trace.charge(StageKind::Launch, pending_structure_ms, 0.0);
             if let Some(t) = &tel {
-                let mut span = t.span("accel.ensure");
-                span.attr("device_ms", pending_structure_ms);
+                t.span("accel.ensure")
+                    .attr("device_ms", pending_structure_ms);
             }
         }
 
-        let mut search_metrics = LaunchMetrics::default();
         let covered: Vec<u32> = slice_params
             .iter()
             .flat_map(|(_, ids)| ids.iter().copied())
             .collect();
         if queries.is_empty() || self.points.is_empty() || covered.is_empty() {
-            return Ok(empty_results(
-                queries.len(),
-                breakdown,
-                search_metrics,
-                LaunchMetrics::default(),
-                trace,
-            ));
+            return Ok(empty_results(queries.len(), breakdown, trace));
         }
 
         // Every structure the batch will traverse is known up front: the
         // widest shared scheduling structure (when the resolved stage
         // actually traverses one — an identity schedule bills nothing,
-        // exactly like a scheduling-off optimisation level) plus one width
+        // exactly like the `NoOpt` rung) plus one width
         // per populated slice. Build all missing widths *concurrently* on
         // the worker pool in one shot; the per-stage `ensure` calls below
         // then hit the warm cache and bill nothing.
-        let schedule_stage = pipeline.schedule_stage();
+        let shared_width = overrides.schedule_stage().needs_structure().then(|| {
+            let max_r = slices
+                .iter()
+                .map(|s| s.plan.max_radius())
+                .fold(0.0, f32::max);
+            2.0 * max_r * cfg.approx.aabb_width_factor()
+        });
         {
-            let mut widths: Vec<f32> = Vec::new();
-            if schedule_stage.needs_structure() {
-                let max_r = slice_params
-                    .iter()
-                    .map(|(p, _)| p.radius)
-                    .fold(0.0f32, f32::max);
-                widths.push(2.0 * max_r * cfg.approx.aabb_width_factor());
-            }
+            let mut widths: Vec<f32> = shared_width.into_iter().collect();
             for (params, ids) in &slice_params {
                 if !ids.is_empty() {
                     widths.push(2.0 * params.radius * cfg.approx.aabb_width_factor());
@@ -803,57 +706,25 @@ impl<'a> Index<'a> {
         // one order over every covered query, split back into per-slice
         // orders below (each slice's order is the scheduled order filtered
         // to its ids — identical to sorting the slice by the shared keys).
-        let accel = if schedule_stage.needs_structure() {
-            let max_r = slice_params
-                .iter()
-                .map(|(p, _)| p.radius)
-                .fold(0.0f32, f32::max);
-            let shared_width = 2.0 * max_r * cfg.approx.aabb_width_factor();
-            let host = Instant::now();
-            let mut ensure_span = tel.as_ref().map(|t| t.span("accel.ensure"));
-            let (sid, built_ms) =
-                self.store
-                    .ensure(backend, &self.points, shared_width, cfg.build)?;
-            breakdown.bvh_ms += built_ms;
-            let host_ms = host_ms_since(host);
-            trace.charge(StageKind::Launch, built_ms, host_ms);
-            if let Some(span) = ensure_span.as_mut() {
-                span.attr("device_ms", built_ms)
-                    .attr_wall("host_ms", host_ms);
-            }
-            Some(sid)
-        } else {
-            None
+        let accel = match shared_width {
+            Some(width) => Some(pipeline.ensure_metered(
+                &mut self.store,
+                &self.points,
+                width,
+                0.0,
+                &mut breakdown,
+                &mut trace,
+            )?),
+            None => None,
         };
-        let host = Instant::now();
-        let mut stage_span = tel
-            .as_ref()
-            .map(|t| t.span(StageKind::Schedule.span_name()));
-        let schedule = schedule_stage.schedule(&ScheduleCx {
-            backend,
-            accel: accel.map(|sid| self.store.accel_ref(sid)),
-            points: &self.points,
+        let schedule = pipeline.schedule_metered(
+            accel.map(|sid| self.store.accel_ref(sid)),
+            &self.points,
             queries,
-            query_ids: &covered,
-        });
-        breakdown.fs_ms += schedule.fs_metrics.time_ms();
-        breakdown.opt_ms += schedule.sort_metrics.time_ms;
-        let schedule_device_ms = schedule.fs_metrics.time_ms() + schedule.sort_metrics.time_ms;
-        let schedule_host_ms = host_ms_since(host);
-        trace.charge(StageKind::Schedule, schedule_device_ms, schedule_host_ms);
-        if let Some(t) = &tel {
-            t.observe(StageKind::Schedule.device_histogram(), schedule_device_ms);
-        }
-        if let Some(span) = stage_span.as_mut() {
-            span.attr("device_ms", schedule_device_ms)
-                .attr("queries", covered.len() as f64)
-                .attr("invocations", 1.0)
-                .attr_wall("host_ms", schedule_host_ms);
-        }
-        drop(stage_span);
-        if overrides.schedule.is_some() {
-            crate::pipeline::assert_schedule_covers(&schedule.order, &covered, queries.len());
-        }
+            &covered,
+            &mut breakdown,
+            &mut trace,
+        );
         let fs_metrics = schedule.fs_metrics.clone();
 
         // Split the shared order into per-slice orders.
@@ -874,27 +745,23 @@ impl<'a> Index<'a> {
         // Per-slice `Partition` → `Launch` → `Gather` over the shared store
         // and grid.
         let mut gathered = GatheredHits::empty(queries.len());
+        let mut search_metrics = LaunchMetrics::default();
         let mut num_partitions = 0;
         let mut num_bundles = 0;
         for ((params, _), order) in slice_params.iter().zip(&orders) {
             if order.is_empty() {
                 continue;
             }
-            let host = Instant::now();
-            let mut ensure_span = tel.as_ref().map(|t| t.span("accel.ensure"));
             let full_width = 2.0 * params.radius * cfg.approx.aabb_width_factor();
-            let (gid, built_ms) =
-                self.store
-                    .ensure(backend, &self.points, full_width, cfg.build)?;
-            breakdown.bvh_ms += built_ms;
-            let host_ms = host_ms_since(host);
-            trace.charge(StageKind::Launch, built_ms, host_ms);
-            if let Some(span) = ensure_span.as_mut() {
-                span.attr("device_ms", built_ms)
-                    .attr_wall("host_ms", host_ms);
-            }
-            drop(ensure_span);
-            let grid = if pipeline.partition_stage().wants_grid() {
+            let gid = pipeline.ensure_metered(
+                &mut self.store,
+                &self.points,
+                full_width,
+                0.0,
+                &mut breakdown,
+                &mut trace,
+            )?;
+            let grid = if overrides.partition_stage().wants_grid() {
                 grid_for(&mut self.grid, &self.points, cfg.grid_max_cells)
             } else {
                 None
@@ -966,22 +833,23 @@ mod tests {
         pts
     }
 
-    /// One plan on a freshly built index.
+    /// One plan on a freshly built index, at one ladder rung.
     fn run(
         params: SearchParams,
         config: EngineConfig,
+        level: OptLevel,
         points: &[Vec3],
         queries: &[Vec3],
     ) -> SearchResults {
         let device = Device::rtx_2080();
         let backend = GpusimBackend::new(&device);
         Index::build(&backend, points, config)
-            .query(queries, &QueryPlan::from_params(params))
+            .query_with(
+                queries,
+                &QueryPlan::from_params(params),
+                StageOverrides::for_level(level),
+            )
             .unwrap()
-    }
-
-    fn at(opt: OptLevel) -> EngineConfig {
-        EngineConfig::default().with_opt(opt)
     }
 
     #[test]
@@ -995,7 +863,7 @@ mod tests {
         for (params, points, stride) in cases {
             let queries: Vec<Vec3> = points.iter().step_by(stride).copied().collect();
             for opt in OptLevel::all() {
-                let results = run(params, at(opt), points, &queries);
+                let results = run(params, EngineConfig::default(), opt, points, &queries);
                 check_all(points, &queries, &params, &results.neighbors)
                     .unwrap_or_else(|(q, e)| panic!("{params:?} {opt:?}, query {q}: {e}"));
             }
@@ -1007,7 +875,13 @@ mod tests {
         let points = grid_points(6, 0.3);
         let queries = vec![Vec3::new(0.9, 0.9, 0.9)];
         let params = SearchParams::range(1.0, 5);
-        let results = run(params, EngineConfig::default(), &points, &queries);
+        let results = run(
+            params,
+            EngineConfig::default(),
+            OptLevel::Full,
+            &points,
+            &queries,
+        );
         assert_eq!(results.neighbors[0].len(), 5);
         check_all(&points, &queries, &params, &results.neighbors).unwrap();
     }
@@ -1017,14 +891,15 @@ mod tests {
         let points = grid_points(8, 1.0);
         let queries = points.clone();
         let params = SearchParams::knn(2.0, 8);
-        let noopt = run(params, at(OptLevel::NoOpt), &points, &queries);
+        let cfg = EngineConfig::default();
+        let noopt = run(params, cfg, OptLevel::NoOpt, &points, &queries);
         assert_eq!(noopt.breakdown.fs_ms, 0.0);
         assert_eq!(noopt.breakdown.opt_ms, 0.0);
         assert_eq!(noopt.num_partitions, 1);
-        let sched = run(params, at(OptLevel::Sched), &points, &queries);
+        let sched = run(params, cfg, OptLevel::Sched, &points, &queries);
         assert!(sched.breakdown.fs_ms > 0.0);
         assert!(sched.breakdown.opt_ms > 0.0);
-        let full = run(params, at(OptLevel::Full), &points, &queries);
+        let full = run(params, cfg, OptLevel::Full, &points, &queries);
         assert!(full.num_partitions >= 1);
         assert!(full.num_bundles <= full.num_partitions);
         assert!(full.breakdown.total_ms() > 0.0);
@@ -1038,8 +913,9 @@ mod tests {
         let points = grid_points(10, 0.25);
         let queries = points.clone();
         let params = SearchParams::knn(2.0, 8);
-        let sched = run(params, at(OptLevel::Sched), &points, &queries);
-        let part = run(params, at(OptLevel::SchedPartition), &points, &queries);
+        let cfg = EngineConfig::default();
+        let sched = run(params, cfg, OptLevel::Sched, &points, &queries);
+        let part = run(params, cfg, OptLevel::SchedPartition, &points, &queries);
         assert!(
             part.search_metrics.is_calls < sched.search_metrics.is_calls,
             "partitioned {} vs global {}",
@@ -1055,12 +931,14 @@ mod tests {
         let points = grid_points(8, 0.5);
         let queries: Vec<Vec3> = points.iter().step_by(7).copied().collect();
         let params = SearchParams::range(1.0, 1000);
-        let sched = at(OptLevel::Sched);
-        let exact = run(params, sched, &points, &queries);
+        let cfg = EngineConfig::default();
+        let sched = OptLevel::Sched;
+        let exact = run(params, cfg, sched, &points, &queries);
         // Shrunken AABBs: subset of the exact result, never outside r.
         let shrunk = run(
             params,
-            sched.with_approx(ApproxMode::ShrunkenAabb { factor: 0.6 }),
+            cfg.with_approx(ApproxMode::ShrunkenAabb { factor: 0.6 }),
+            sched,
             &points,
             &queries,
         );
@@ -1076,7 +954,8 @@ mod tests {
         // Skipped sphere test: superset within sqrt(3) * r.
         let skipped = run(
             params,
-            sched.with_approx(ApproxMode::SkipSphereTest),
+            cfg.with_approx(ApproxMode::SkipSphereTest),
+            sched,
             &points,
             &queries,
         );
@@ -1099,7 +978,7 @@ mod tests {
         let queries: Vec<Vec3> = points.iter().step_by(3).copied().collect();
         let params = SearchParams::knn(1.5, 6);
         let config = EngineConfig::default().with_knn_rule(KnnAabbRule::EquiVolume);
-        let results = run(params, config, &points, &queries);
+        let results = run(params, config, OptLevel::Full, &points, &queries);
         for (qi, q) in queries.iter().enumerate() {
             assert!(results.neighbors[qi].len() <= params.k);
             for &id in &results.neighbors[qi] {
@@ -1282,19 +1161,6 @@ mod tests {
             })
         );
 
-        // A hand-assembled config with a zero grid budget is rejected with
-        // a typed error too (the builder panics instead, see below).
-        let bad_cfg = EngineConfig {
-            grid_max_cells: 0,
-            ..EngineConfig::default()
-        };
-        let mut bad = Index::build(&backend, &points[..], bad_cfg);
-        assert_eq!(
-            bad.query(&[Vec3::ZERO], &QueryPlan::knn(1.0, 4))
-                .unwrap_err(),
-            SearchError::InvalidPlan(PlanError::ZeroGridBudget)
-        );
-
         // So is an out-of-range approximation parameter.
         let bad_approx =
             EngineConfig::default().with_approx(ApproxMode::ShrunkenAabb { factor: 2.0 });
@@ -1305,9 +1171,56 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "grid_max_cells must be a positive cell budget")]
-    fn zero_grid_budget_builder_panics() {
-        let _ = EngineConfig::default().with_grid_max_cells(0);
+    fn zero_grid_budget_is_a_typed_error_at_query_and_warm_time() {
+        let device = Device::rtx_2080();
+        let backend = GpusimBackend::new(&device);
+        let points = [Vec3::ZERO];
+        let plan = QueryPlan::knn(1.0, 4);
+        let zero = SearchError::InvalidPlan(PlanError::ZeroGridBudget);
+        let by_builder = EngineConfig::default().with_grid_max_cells(0);
+        let by_hand = EngineConfig {
+            grid_max_cells: 0,
+            ..EngineConfig::default()
+        };
+        for config in [by_builder, by_hand] {
+            let mut index = Index::build(&backend, &points[..], config);
+            assert_eq!(index.query(&[Vec3::ZERO], &plan).unwrap_err(), zero);
+            assert_eq!(index.warm(&plan).unwrap_err(), zero);
+        }
+    }
+
+    #[test]
+    fn explicit_overrides_bypass_a_held_tuner() {
+        let device = Device::rtx_2080();
+        let backend = GpusimBackend::new(&device);
+        let points = jittered(6, 0.6);
+        let queries: Vec<Vec3> = points.iter().step_by(3).copied().collect();
+        let plan = QueryPlan::knn(1.2, 6);
+        let mut tuned = Index::build(&backend, &points[..], EngineConfig::default());
+        tuned.enable_auto(crate::autotune::DEFAULT_SEED);
+        tuned.query(&queries, &plan).unwrap();
+        let decided = tuned.last_decision();
+        for level in OptLevel::all() {
+            let rung = StageOverrides::for_level(level);
+            let got = tuned.query_with(&queries, &plan, rung).unwrap();
+            let expected = run(
+                plan.params().unwrap(),
+                EngineConfig::default(),
+                level,
+                &points,
+                &queries,
+            );
+            assert_eq!(got.neighbors, expected.neighbors, "{level:?}");
+            assert_eq!(got.breakdown.fs_ms, expected.breakdown.fs_ms, "{level:?}");
+            assert_eq!(got.num_partitions, expected.num_partitions, "{level:?}");
+            assert_eq!(got.breakdown.search_ms, expected.breakdown.search_ms);
+        }
+        assert_eq!(
+            tuned.tuner().unwrap().decisions(),
+            1,
+            "the tuner was never consulted"
+        );
+        assert_eq!(tuned.last_decision(), decided);
     }
 
     #[test]

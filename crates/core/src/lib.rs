@@ -75,7 +75,7 @@ pub mod shaders;
 pub mod verify;
 
 pub use approx::ApproxMode;
-pub use autotune::{AutoTuner, DecisionSource, TunerDecision, TunerReport, Tuning};
+pub use autotune::{AutoTuner, DecisionSource, TunerDecision, TunerReport};
 pub use backend::{
     exhaustive_traverse, Accel, AccelRef, Backend, GpusimBackend, RefitOutcome, Traversal,
     TraversalJob, TraversalKind,
@@ -88,7 +88,7 @@ pub use partition::{KnnAabbRule, MegacellCache, Partition, PartitionSet};
 pub use pipeline::{
     ExecutionPipeline, OptLevel, PipelineTrace, StageKind, StageOverrides, StageTiming,
 };
-pub use plan::{PlanError, PlanSlice, QueryPlan, SearchError};
+pub use plan::{validate_queries, PlanError, PlanSlice, QueryPlan, SearchError};
 pub use result::{SearchMode, SearchParams, SearchResults, ShardMerge, TimeBreakdown};
 pub use rtnn_gpusim::StructureTiming;
 pub use rtnn_optix::LaunchMetrics;

@@ -38,11 +38,14 @@
 //! ## Swapping stages
 //!
 //! Each stage sits behind a small trait ([`ScheduleStage`],
-//! [`PartitionStage`], [`LaunchStage`], [`GatherStage`]); a
+//! [`PartitionStage`], [`LaunchStage`], [`GatherStage`]). A
 //! [`StageOverrides`] passed to
-//! [`Index::query_with`](crate::Index::query_with) replaces any of them for
-//! one call. This subsumes the [`OptLevel`] plumbing — the
-//! levels are just preset stage selections:
+//! [`Index::query_with`](crate::Index::query_with) is the one way to choose
+//! stages: it replaces any of them for one call, and every slot left
+//! `None` falls back to the full pipeline ([`CoherenceSchedule`],
+//! [`MegacellPartition`]`{bundle: true}`, [`SearchLaunch`],
+//! [`ScatterGather`]). An [`OptLevel`] is only the name of one of the
+//! paper's four ladder presets, which [`StageOverrides::for_level`] pins:
 //!
 //! | `OptLevel` | Schedule | Partition |
 //! |---|---|---|
@@ -51,7 +54,8 @@
 //! | `SchedPartition` | [`CoherenceSchedule`] | [`MegacellPartition`]`{bundle: false}` |
 //! | `Full` | [`CoherenceSchedule`] | [`MegacellPartition`]`{bundle: true}` |
 //!
-//! so an ablation can toggle exactly one stage
+//! so an ablation runs a rung with `query_with(q, plan,
+//! StageOverrides::for_level(level))`, or toggles exactly one stage
 //! ([`StageOverrides::without_reordering`],
 //! [`StageOverrides::without_partitioning`]) without touching the others.
 //!
@@ -75,7 +79,7 @@ pub use stages::{
 };
 pub use timing::{PipelineTrace, StageKind, StageTiming};
 
-use crate::backend::Backend;
+use crate::backend::{AccelRef, Backend};
 use crate::index::{AccelStore, EngineConfig, SceneRefs};
 use crate::megacell::MegacellGrid;
 use crate::partition::MegacellCache;
@@ -95,11 +99,11 @@ static SINGLE_PARTITION: SinglePartition = SinglePartition;
 static SEARCH_LAUNCH: SearchLaunch = SearchLaunch;
 static SCATTER_GATHER: ScatterGather = ScatterGather;
 
-/// Which of the paper's optimisations are enabled — the five configurations
-/// compared in Figure 13 (the `Oracle` variant is an exhaustive search over
-/// these configurations and lives in the bench harness). Each level is a
-/// preset stage selection (see the module docs and
-/// [`StageOverrides::for_level`]).
+/// The name of one rung of the paper's Figure 13 ladder (the `Oracle`
+/// variant is an exhaustive search over these rungs and lives in the bench
+/// harness): the [`AutoTuner`](crate::AutoTuner)'s arm id and the figure
+/// label. A rung selects nothing by itself; [`StageOverrides::for_level`]
+/// turns it into the stages it names (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum OptLevel {
     /// The basic mapping only (Section 3.1); equivalent to the FastRNN
@@ -110,7 +114,7 @@ pub enum OptLevel {
     /// Plus query partitioning with one BVH per partition (Section 5.1).
     SchedPartition,
     /// Plus partition bundling with the analytical cost model (Section 5.2).
-    /// The default.
+    /// The default, and what a call with no overrides runs.
     #[default]
     Full,
 }
@@ -135,23 +139,10 @@ impl OptLevel {
             OptLevel::Full => "Sched.+Partition+Bundle",
         }
     }
-
-    pub(crate) fn scheduling(&self) -> bool {
-        *self >= OptLevel::Sched
-    }
-
-    pub(crate) fn partitioning(&self) -> bool {
-        *self >= OptLevel::SchedPartition
-    }
-
-    pub(crate) fn bundling(&self) -> bool {
-        *self >= OptLevel::Full
-    }
 }
 
 /// Per-call stage replacements for one pipeline execution (see the module
-/// docs). `None` slots fall back to the defaults the engine's
-/// [`OptLevel`] selects.
+/// docs). `None` slots fall back to the full pipeline.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageOverrides<'o> {
     /// Replace the `Schedule` stage.
@@ -164,36 +155,27 @@ pub struct StageOverrides<'o> {
     pub gather: Option<&'o dyn GatherStage>,
 }
 
-impl std::fmt::Debug for dyn ScheduleStage + '_ {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("ScheduleStage")
-    }
+/// `Debug` for the stage trait objects (prints the trait name), so
+/// [`StageOverrides`] can derive it.
+macro_rules! debug_by_trait_name {
+    ($($stage:ident),*) => {$(
+        impl std::fmt::Debug for dyn $stage + '_ {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.write_str(stringify!($stage))
+            }
+        }
+    )*};
 }
-impl std::fmt::Debug for dyn PartitionStage + '_ {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("PartitionStage")
-    }
-}
-impl std::fmt::Debug for dyn LaunchStage + '_ {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("LaunchStage")
-    }
-}
-impl std::fmt::Debug for dyn GatherStage + '_ {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("GatherStage")
-    }
-}
+debug_by_trait_name!(ScheduleStage, PartitionStage, LaunchStage, GatherStage);
 
 impl StageOverrides<'static> {
-    /// No overrides: the engine's optimisation level picks every stage.
+    /// No overrides: every stage is the full pipeline's.
     pub fn none() -> Self {
         StageOverrides::default()
     }
 
-    /// Disable coherence reordering for this call (an [`IdentitySchedule`]
-    /// regardless of the optimisation level), leaving every other stage at
-    /// its default.
+    /// Disable coherence reordering for this call (an
+    /// [`IdentitySchedule`]), leaving every other stage at its default.
     pub fn without_reordering() -> Self {
         StageOverrides {
             schedule: Some(&IDENTITY_SCHEDULE),
@@ -202,8 +184,7 @@ impl StageOverrides<'static> {
     }
 
     /// Disable megacell partitioning (and with it bundling) for this call
-    /// (a [`SinglePartition`] regardless of the optimisation level),
-    /// leaving every other stage at its default.
+    /// (a [`SinglePartition`]), leaving every other stage at its default.
     pub fn without_partitioning() -> Self {
         StageOverrides {
             partition: Some(&SINGLE_PARTITION),
@@ -211,43 +192,49 @@ impl StageOverrides<'static> {
         }
     }
 
-    /// The fully pinned override set equivalent to a static [`OptLevel`]:
-    /// all four slots filled with exactly the stages that level resolves
-    /// to, so the call's behaviour no longer depends on the engine's
-    /// configured level. This is the [`AutoTuner`](crate::AutoTuner)'s arm
-    /// ladder — results are bit-equal to running an engine configured at
-    /// `level`, because the same stage objects execute.
+    /// The fully pinned override set of one ladder rung: all four slots
+    /// filled with the stages the module-docs table names for `level`.
+    /// This is the [`AutoTuner`](crate::AutoTuner)'s arm ladder and how a
+    /// figure runs a rung; `for_level(OptLevel::Full)` runs exactly the
+    /// stages an empty override set falls back to.
     pub fn for_level(level: OptLevel) -> Self {
+        let (schedule, partition): (&dyn ScheduleStage, &dyn PartitionStage) = match level {
+            OptLevel::NoOpt => (&IDENTITY_SCHEDULE, &SINGLE_PARTITION),
+            OptLevel::Sched => (&COHERENCE_SCHEDULE, &SINGLE_PARTITION),
+            OptLevel::SchedPartition => (&COHERENCE_SCHEDULE, &MEGACELL_UNBUNDLED),
+            OptLevel::Full => (&COHERENCE_SCHEDULE, &MEGACELL_BUNDLED),
+        };
         StageOverrides {
-            schedule: Some(if level.scheduling() {
-                &COHERENCE_SCHEDULE
-            } else {
-                &IDENTITY_SCHEDULE
-            }),
-            partition: Some(if level.partitioning() {
-                if level.bundling() {
-                    &MEGACELL_BUNDLED
-                } else {
-                    &MEGACELL_UNBUNDLED
-                }
-            } else {
-                &SINGLE_PARTITION
-            }),
+            schedule: Some(schedule),
+            partition: Some(partition),
             launch: Some(&SEARCH_LAUNCH),
             gather: Some(&SCATTER_GATHER),
         }
     }
 }
 
-impl StageOverrides<'_> {
-    /// True when no slot is overridden (every stage falls back to the
-    /// engine's optimisation level) — the condition under which an
-    /// auto-tuning index is free to substitute its own decision.
+impl<'o> StageOverrides<'o> {
+    /// True when no slot is overridden (every stage falls back to the full
+    /// pipeline) — the condition under which an index holding a tuner is
+    /// free to substitute its own decision.
     pub fn is_empty(&self) -> bool {
         self.schedule.is_none()
             && self.partition.is_none()
             && self.launch.is_none()
             && self.gather.is_none()
+    }
+
+    /// The `Schedule` stage this selection runs: the override, else
+    /// [`CoherenceSchedule`].
+    pub(crate) fn schedule_stage(&self) -> &'o dyn ScheduleStage {
+        self.schedule.unwrap_or(&COHERENCE_SCHEDULE)
+    }
+
+    /// The `Partition` stage this selection runs: the override, else
+    /// [`MegacellPartition`]`{bundle: true}`. Callers that keep megacell
+    /// state across calls ask its [`PartitionStage::wants_grid`].
+    pub fn partition_stage(&self) -> &'o dyn PartitionStage {
+        self.partition.unwrap_or(&MEGACELL_BUNDLED)
     }
 }
 
@@ -258,60 +245,69 @@ impl StageOverrides<'_> {
 /// All public entry points — `Index::query`, the dynamic frames, the
 /// sharded server — bottom out here.
 pub struct ExecutionPipeline<'r> {
-    backend: &'r dyn Backend,
-    config: &'r EngineConfig,
-    overrides: StageOverrides<'r>,
+    pub(crate) backend: &'r dyn Backend,
+    pub(crate) config: &'r EngineConfig,
+    pub(crate) overrides: StageOverrides<'r>,
 }
 
 impl<'r> ExecutionPipeline<'r> {
-    /// A pipeline with per-call stage replacements.
-    pub(crate) fn with_overrides(
-        backend: &'r dyn Backend,
-        config: &'r EngineConfig,
-        overrides: StageOverrides<'r>,
-    ) -> Self {
-        ExecutionPipeline {
-            backend,
-            config,
-            overrides,
+    /// Get the structure for `width` (building and caching it on a miss)
+    /// and bill the build plus `extra_ms` of caller-side maintenance to the
+    /// `BVH` slot and the Launch stage — the metered `accel.ensure` every
+    /// driver path runs. Returns the store id.
+    pub(crate) fn ensure_metered(
+        &self,
+        store: &mut AccelStore<'_>,
+        points: &[Vec3],
+        width: f32,
+        extra_ms: f64,
+        breakdown: &mut TimeBreakdown,
+        trace: &mut PipelineTrace,
+    ) -> Result<usize, SearchError> {
+        let tel = Telemetry::current();
+        let host = Instant::now();
+        let mut span = tel.as_ref().map(|t| t.span("accel.ensure"));
+        let (id, built_ms) = store.ensure(self.backend, points, width, self.config.build)?;
+        let device_ms = built_ms + extra_ms;
+        breakdown.bvh_ms += device_ms;
+        let host_ms = host_ms_since(host);
+        trace.charge(StageKind::Launch, device_ms, host_ms);
+        if let Some(span) = span.as_mut() {
+            span.attr("device_ms", device_ms)
+                .attr("primitives", points.len() as f64)
+                .attr_wall("host_ms", host_ms);
         }
+        Ok(id)
     }
 
-    /// The `Schedule` stage this execution uses: the override, else the
-    /// level's default.
-    pub(crate) fn schedule_stage(&self) -> &'r dyn ScheduleStage {
-        self.overrides
-            .schedule
-            .unwrap_or(if self.config.opt.scheduling() {
-                &COHERENCE_SCHEDULE
-            } else {
-                &IDENTITY_SCHEDULE
-            })
-    }
-
-    /// The `Partition` stage this execution uses: the override, else the
-    /// level's default. Exposed so the driver paths can provision the
-    /// megacell grid exactly when the resolved stage wants it.
-    pub(crate) fn partition_stage(&self) -> &'r dyn PartitionStage {
-        self.overrides
-            .partition
-            .unwrap_or(if self.config.opt.partitioning() {
-                if self.config.opt.bundling() {
-                    &MEGACELL_BUNDLED
-                } else {
-                    &MEGACELL_UNBUNDLED
-                }
-            } else {
-                &SINGLE_PARTITION
-            })
-    }
-
-    fn launch_stage(&self) -> &'r dyn LaunchStage {
-        self.overrides.launch.unwrap_or(&SEARCH_LAUNCH)
-    }
-
-    fn gather_stage(&self) -> &'r dyn GatherStage {
-        self.overrides.gather.unwrap_or(&SCATTER_GATHER)
+    /// The metered `Schedule` stage over `ids`: every query of a single
+    /// plan, or every query a batch covers (one shared pass).
+    pub(crate) fn schedule_metered(
+        &self,
+        accel: Option<AccelRef<'_>>,
+        points: &[Vec3],
+        queries: &[Vec3],
+        ids: &[u32],
+        breakdown: &mut TimeBreakdown,
+        trace: &mut PipelineTrace,
+    ) -> QuerySchedule {
+        let metered = meter_stage(trace, StageKind::Schedule, || {
+            let schedule = self.overrides.schedule_stage().schedule(&ScheduleCx {
+                backend: self.backend,
+                accel,
+                points,
+                queries,
+                query_ids: ids,
+            });
+            if self.overrides.schedule.is_some() {
+                assert_schedule_covers(&schedule.order, ids, queries.len());
+            }
+            breakdown.fs_ms += schedule.fs_metrics.time_ms();
+            breakdown.opt_ms += schedule.sort_metrics.time_ms;
+            let device_ms = schedule.fs_metrics.time_ms() + schedule.sort_metrics.time_ms;
+            Ok((schedule, device_ms, vec![("queries", ids.len() as f64)]))
+        });
+        metered.expect("scheduling is infallible")
     }
 
     /// Execute one single-plan search end to end: driver setup (transfer
@@ -341,82 +337,34 @@ impl<'r> ExecutionPipeline<'r> {
         breakdown.data_ms = device.transfer_h2d_ms((points.len() + queries.len()) as u64 * 12)
             + device.transfer_d2h_ms(queries.len() as u64 * params.k as u64 * 4);
 
-        if queries.is_empty() {
-            return Ok(SearchResults {
-                neighbors: Vec::new(),
-                breakdown,
-                search_metrics,
-                fs_metrics: LaunchMetrics::default(),
-                num_partitions: 0,
-                num_bundles: 0,
-                trace,
-            });
+        if queries.is_empty() || points.is_empty() {
+            return Ok(empty_results(queries.len(), breakdown, trace));
         }
         let mut gathered = GatheredHits::empty(queries.len());
-        if points.is_empty() {
-            return Ok(SearchResults {
-                neighbors: gathered.neighbors,
-                breakdown,
-                search_metrics,
-                fs_metrics: LaunchMetrics::default(),
-                num_partitions: 0,
-                num_bundles: 0,
-                trace,
-            });
-        }
-
-        let tel = Telemetry::current();
 
         // Global structure: traversed by the coherence pass and by every
         // full-width partition. Structure availability (builds plus any
         // caller-side maintenance) is billed to the Launch stage.
-        let host = Instant::now();
-        let mut ensure_span = tel.as_ref().map(|t| t.span("accel.ensure"));
         let full_width = 2.0 * params.radius * self.config.approx.aabb_width_factor();
-        let (gid, built_ms) = store.ensure(self.backend, points, full_width, self.config.build)?;
+        let gid = self.ensure_metered(
+            store,
+            points,
+            full_width,
+            scene.structure_ms,
+            &mut breakdown,
+            &mut trace,
+        )?;
         debug_assert_eq!(store.accel_ref(gid).num_primitives(), points.len());
-        breakdown.bvh_ms += built_ms + scene.structure_ms;
-        let structure_device_ms = built_ms + scene.structure_ms;
-        let structure_host_ms = host_ms_since(host);
-        trace.charge(StageKind::Launch, structure_device_ms, structure_host_ms);
-        if let Some(span) = ensure_span.as_mut() {
-            span.attr("device_ms", structure_device_ms)
-                .attr("primitives", points.len() as f64)
-                .attr_wall("host_ms", structure_host_ms);
-        }
-        drop(ensure_span);
 
-        // Schedule stage.
-        let host = Instant::now();
-        let mut stage_span = tel
-            .as_ref()
-            .map(|t| t.span(StageKind::Schedule.span_name()));
         let ids: Vec<u32> = (0..queries.len() as u32).collect();
-        let schedule = self.schedule_stage().schedule(&ScheduleCx {
-            backend: self.backend,
-            accel: Some(store.accel_ref(gid)),
+        let schedule = self.schedule_metered(
+            Some(store.accel_ref(gid)),
             points,
             queries,
-            query_ids: &ids,
-        });
-        if self.overrides.schedule.is_some() {
-            assert_schedule_covers(&schedule.order, &ids, queries.len());
-        }
-        breakdown.fs_ms += schedule.fs_metrics.time_ms();
-        breakdown.opt_ms += schedule.sort_metrics.time_ms;
-        let schedule_device_ms = schedule.fs_metrics.time_ms() + schedule.sort_metrics.time_ms;
-        let schedule_host_ms = host_ms_since(host);
-        trace.charge(StageKind::Schedule, schedule_device_ms, schedule_host_ms);
-        if let Some(t) = &tel {
-            t.observe(StageKind::Schedule.device_histogram(), schedule_device_ms);
-        }
-        if let Some(span) = stage_span.as_mut() {
-            span.attr("device_ms", schedule_device_ms)
-                .attr("queries", queries.len() as f64)
-                .attr("invocations", 1.0)
-                .attr_wall("host_ms", schedule_host_ms);
-        }
-        drop(stage_span);
+            &ids,
+            &mut breakdown,
+            &mut trace,
+        );
         let fs_metrics = schedule.fs_metrics.clone();
 
         let (num_partitions, num_bundles) = self.execute_ordered(
@@ -466,46 +414,30 @@ impl<'r> ExecutionPipeline<'r> {
         search_metrics: &mut LaunchMetrics,
         trace: &mut PipelineTrace,
     ) -> Result<(usize, usize), SearchError> {
-        let tel = Telemetry::current();
+        let parts = meter_stage(trace, StageKind::Partition, || {
+            let parts = self.overrides.partition_stage().partition(PartitionCx {
+                backend: self.backend,
+                config: self.config,
+                params,
+                points,
+                queries,
+                order,
+                grid,
+                dirty_region,
+                cache,
+            });
+            breakdown.opt_ms += parts.opt_metrics.time_ms;
+            let device_ms = parts.opt_metrics.time_ms;
+            let attrs = vec![
+                ("partitions", parts.num_partitions as f64),
+                ("bundles", parts.num_bundles as f64),
+            ];
+            Ok((parts, device_ms, attrs))
+        })?;
 
-        // Partition stage.
-        let host = Instant::now();
-        let mut stage_span = tel
-            .as_ref()
-            .map(|t| t.span(StageKind::Partition.span_name()));
-        let parts = self.partition_stage().partition(PartitionCx {
-            backend: self.backend,
-            config: self.config,
-            params,
-            points,
-            queries,
-            order,
-            grid,
-            dirty_region,
-            cache,
-        });
-        breakdown.opt_ms += parts.opt_metrics.time_ms;
-        let partition_device_ms = parts.opt_metrics.time_ms;
-        let partition_host_ms = host_ms_since(host);
-        trace.charge(StageKind::Partition, partition_device_ms, partition_host_ms);
-        if let Some(t) = &tel {
-            t.observe(StageKind::Partition.device_histogram(), partition_device_ms);
-        }
-        if let Some(span) = stage_span.as_mut() {
-            span.attr("device_ms", partition_device_ms)
-                .attr("partitions", parts.num_partitions as f64)
-                .attr("bundles", parts.num_bundles as f64)
-                .attr("invocations", 1.0)
-                .attr_wall("host_ms", partition_host_ms);
-        }
-        drop(stage_span);
-
-        // Launch stage.
-        let host = Instant::now();
-        let mut stage_span = tel.as_ref().map(|t| t.span(StageKind::Launch.span_name()));
-        let bvh_before = breakdown.bvh_ms;
-        let search_before = breakdown.search_ms;
-        let launches = {
+        let launches = meter_stage(trace, StageKind::Launch, || {
+            let bvh_before = breakdown.bvh_ms;
+            let search_before = breakdown.search_ms;
             let mut cx = LaunchCx {
                 backend: self.backend,
                 config: self.config,
@@ -517,39 +449,62 @@ impl<'r> ExecutionPipeline<'r> {
                 breakdown,
                 search_metrics,
             };
-            self.launch_stage().launch(&mut cx, &parts)?
-        };
-        let launch_device_ms =
-            (breakdown.bvh_ms - bvh_before) + (breakdown.search_ms - search_before);
-        let launch_host_ms = host_ms_since(host);
-        trace.charge(StageKind::Launch, launch_device_ms, launch_host_ms);
-        if let Some(t) = &tel {
-            t.observe(StageKind::Launch.device_histogram(), launch_device_ms);
-        }
-        if let Some(span) = stage_span.as_mut() {
-            span.attr("device_ms", launch_device_ms)
-                .attr("invocations", 1.0)
-                .attr_wall("host_ms", launch_host_ms);
-        }
-        drop(stage_span);
+            let launch = self.overrides.launch.unwrap_or(&SEARCH_LAUNCH);
+            let launches = launch.launch(&mut cx, &parts)?;
+            let device_ms = (breakdown.bvh_ms - bvh_before) + (breakdown.search_ms - search_before);
+            Ok((launches, device_ms, Vec::new()))
+        })?;
 
-        // Gather stage.
-        let host = Instant::now();
-        let mut stage_span = tel.as_ref().map(|t| t.span(StageKind::Gather.span_name()));
-        self.gather_stage().gather(&parts, launches, out);
-        let gather_host_ms = host_ms_since(host);
-        trace.charge(StageKind::Gather, 0.0, gather_host_ms);
-        if let Some(t) = &tel {
-            t.observe(StageKind::Gather.device_histogram(), 0.0);
-        }
-        if let Some(span) = stage_span.as_mut() {
-            span.attr("device_ms", 0.0)
-                .attr("invocations", 1.0)
-                .attr_wall("host_ms", gather_host_ms);
-        }
-        drop(stage_span);
+        meter_stage(trace, StageKind::Gather, || {
+            let gather = self.overrides.gather.unwrap_or(&SCATTER_GATHER);
+            gather.gather(&parts, launches, out);
+            Ok(((), 0.0, Vec::new()))
+        })?;
 
         Ok((parts.num_partitions, parts.num_bundles))
+    }
+}
+
+/// Meter one stage call: time `run` on the host under the stage's span,
+/// then charge the device ms it reports to `kind` on the trace, the stage
+/// histogram and the span (`attrs` follow `device_ms`). A failed call is
+/// not charged.
+fn meter_stage<T>(
+    trace: &mut PipelineTrace,
+    kind: StageKind,
+    run: impl FnOnce() -> Result<(T, f64, Vec<(&'static str, f64)>), SearchError>,
+) -> Result<T, SearchError> {
+    let tel = Telemetry::current();
+    let host = Instant::now();
+    let mut span = tel.as_ref().map(|t| t.span(kind.span_name()));
+    let (out, device_ms, attrs) = run()?;
+    let host_ms = host_ms_since(host);
+    trace.charge(kind, device_ms, host_ms);
+    if let Some(t) = &tel {
+        t.observe(kind.device_histogram(), device_ms);
+    }
+    if let Some(span) = span.as_mut() {
+        span.attr("device_ms", device_ms);
+        for (key, value) in attrs {
+            span.attr(key, value);
+        }
+        span.attr("invocations", 1.0).attr_wall("host_ms", host_ms);
+    }
+    Ok(out)
+}
+
+/// The results of a call that launched nothing: empty neighbor lists for
+/// `num_queries` queries, with whatever driver setup was already billed.
+pub(crate) fn empty_results(
+    num_queries: usize,
+    breakdown: TimeBreakdown,
+    trace: PipelineTrace,
+) -> SearchResults {
+    SearchResults {
+        neighbors: vec![Vec::new(); num_queries],
+        breakdown,
+        trace,
+        ..SearchResults::default()
     }
 }
 

@@ -1,5 +1,5 @@
-//! The swappable pipeline stages: a small trait per stage, the default
-//! implementations the optimisation levels map onto, and the contexts the
+//! The swappable pipeline stages: a small trait per stage, the
+//! implementations the paper's ladder rungs map onto, and the contexts the
 //! driver hands them.
 //!
 //! Every default implementation reproduces the corresponding block of the
@@ -70,8 +70,8 @@ pub trait ScheduleStage: Sync {
 
 /// The paper's coherence schedule (Section 4): a truncated first-hit launch
 /// anchors every query to an enclosing leaf AABB, and the queries are
-/// sorted by the Morton code of that anchor. The default when the
-/// optimisation level enables scheduling.
+/// sorted by the Morton code of that anchor. The default `Schedule`
+/// stage.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CoherenceSchedule;
 

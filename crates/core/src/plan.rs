@@ -14,6 +14,7 @@
 
 use crate::result::{SearchMode, SearchParams};
 use rtnn_gpusim::device::OutOfDeviceMemory;
+use rtnn_math::Vec3;
 use std::borrow::Cow;
 
 /// A typed description of one neighbor search (or a batch of them),
@@ -344,6 +345,17 @@ impl QueryPlan {
     }
 }
 
+/// Reject a query array holding a NaN or infinite coordinate, naming the
+/// first offending query: such a query has no meaningful neighbors, and the
+/// traversal kernels assume finite distances. Every entry point that takes
+/// caller queries runs this before executing anything.
+pub fn validate_queries(queries: &[Vec3]) -> Result<(), PlanError> {
+    match queries.iter().position(|q| !q.is_finite()) {
+        Some(query) => Err(PlanError::NonFiniteQuery { query }),
+        None => Ok(()),
+    }
+}
+
 /// Append every (transitively nested) slice of `slices` to `merged`,
 /// grouping by exact parameters (per-group deduplication happens in the
 /// caller once the groups are complete).
@@ -440,6 +452,11 @@ pub enum PlanError {
         /// The doubly-claimed id.
         query_id: u32,
     },
+    /// A query has a NaN or infinite coordinate (see [`validate_queries`]).
+    NonFiniteQuery {
+        /// Index of the first offending query in the query array.
+        query: usize,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -478,6 +495,9 @@ impl std::fmt::Display for PlanError {
                 f,
                 "Batch slice {slice}: query id {query_id} is already claimed by an earlier slice"
             ),
+            PlanError::NonFiniteQuery { query } => {
+                write!(f, "queries[{query}]: coordinates must be finite")
+            }
         }
     }
 }

@@ -115,7 +115,7 @@ impl TimeBreakdown {
 }
 
 /// The output of one RTNN search.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SearchResults {
     /// Per-query neighbor ids (indices into the points the
     /// [`Index`](crate::Index) was built over), in the original query
@@ -331,11 +331,9 @@ mod tests {
                 search_ms: 5.0,
                 ..Default::default()
             },
-            search_metrics: LaunchMetrics::default(),
-            fs_metrics: LaunchMetrics::default(),
             num_partitions: 1,
             num_bundles: 1,
-            trace: PipelineTrace::default(),
+            ..Default::default()
         };
         assert_eq!(r.total_neighbors(), 3);
         assert_eq!(r.total_time_ms(), 5.0);

@@ -6,7 +6,7 @@ use crate::policy::RebuildPolicy;
 use rtnn::{
     Accel, AdoptedScene, AutoTuner, Backend, CostCoefficients, EngineConfig, GpusimBackend, Index,
     MegacellCache, MegacellGrid, QueryPlan, SearchError, SearchParams, SearchResults,
-    StageOverrides, TunerDecision, Tuning,
+    StageOverrides, TunerDecision,
 };
 use rtnn_bvh::SahMonitor;
 use rtnn_gpusim::{Device, FrameAccumulator};
@@ -176,8 +176,8 @@ pub struct DynamicIndex<'d> {
     /// Online stage tuner, carried *across* frames (the per-frame adopted
     /// [`Index`] views are transient, so the learning state lives here):
     /// installed by [`enable_auto`](Self::enable_auto), it picks the
-    /// optimization level each [`search`](Self::search) frame runs at and
-    /// folds the frame's measured stage timings back in afterwards.
+    /// ladder rung each [`search`](Self::search) frame runs at and folds
+    /// the frame's measured stage timings back in afterwards.
     tuner: Option<AutoTuner>,
     last_decision: Option<TunerDecision>,
 }
@@ -186,10 +186,6 @@ impl<'d> DynamicIndex<'d> {
     /// An empty index on the default (gpusim) backend with the default
     /// (adaptive) rebuild policy. Every [`search`](Self::search) frame runs
     /// `params` under `config`.
-    ///
-    /// An auto-tuning `config` ([`EngineConfig::auto`]) is the same as
-    /// calling [`enable_auto`](Self::enable_auto) with its seed: the tuner
-    /// lives on the dynamic index and carries its state across frames.
     pub fn new(device: &'d Device, config: EngineConfig, params: SearchParams) -> Self {
         Self::with_policy(device, config, params, RebuildPolicy::default())
     }
@@ -225,7 +221,7 @@ impl<'d> DynamicIndex<'d> {
         params: SearchParams,
         policy: RebuildPolicy,
     ) -> Self {
-        let mut index = DynamicIndex {
+        DynamicIndex {
             backend,
             config,
             params,
@@ -249,11 +245,7 @@ impl<'d> DynamicIndex<'d> {
             pending_host_structure_ms: 0.0,
             tuner: None,
             last_decision: None,
-        };
-        if let Tuning::Auto { seed } = config.tuning {
-            index.enable_auto(seed);
         }
-        index
     }
 
     /// An index seeded with `points` (handles `0..points.len()`).
@@ -354,8 +346,8 @@ impl<'d> DynamicIndex<'d> {
 
     /// Switch [`search`](Self::search) frames to adaptive stage tuning:
     /// every frame, an [`AutoTuner`] (seeded with `seed`, cost model
-    /// calibrated for the backend's device) picks the optimization level
-    /// the frame executes at and absorbs the frame's measured stage
+    /// calibrated for the backend's device) picks the ladder rung the
+    /// frame executes at and absorbs the frame's measured stage
     /// timings afterwards. The tuner state persists across frames — and
     /// across refits and rebuilds — so a long-running scene converges on
     /// its measured best ladder rung instead of re-deriving it.
@@ -381,7 +373,16 @@ impl<'d> DynamicIndex<'d> {
         self.tuner.as_ref()
     }
 
-    /// Run one query round against the current point positions.
+    /// Run one query round against the current point positions:
+    /// [`search_with`](Self::search_with) with no overrides.
+    pub fn search(&mut self, queries: &[Vec3]) -> Result<FrameResult, SearchError> {
+        self.search_with(queries, StageOverrides::none())
+    }
+
+    /// [`search`](Self::search) with per-frame [`StageOverrides`] (e.g.
+    /// [`StageOverrides::for_level`] for one rung of the paper's ladder).
+    /// A carried tuner decides exactly the frames whose `overrides` are
+    /// empty.
     ///
     /// Maintains the persistent structures first (refit / incremental grid
     /// refresh / rebuild, as the state and policy demand), then searches
@@ -393,7 +394,14 @@ impl<'d> DynamicIndex<'d> {
     /// one is attached): the signature keys on the frame's *live* density
     /// and the dynamic index's backend, so drifting scenes profile under
     /// the buckets they currently occupy.
-    pub fn search(&mut self, queries: &[Vec3]) -> Result<FrameResult, SearchError> {
+    pub fn search_with(
+        &mut self,
+        queries: &[Vec3],
+        overrides: StageOverrides<'_>,
+    ) -> Result<FrameResult, SearchError> {
+        // Reject bad queries before any maintenance runs: a frame that
+        // fails here has changed no state.
+        rtnn::validate_queries(queries)?;
         let tel = rtnn_telemetry::Telemetry::current();
         let mut frame_span = tel.as_ref().map(|t| t.span("dynamic.frame"));
         if let Some(t) = &tel {
@@ -407,54 +415,40 @@ impl<'d> DynamicIndex<'d> {
         let host_structure_ms = std::mem::take(&mut self.pending_host_structure_ms);
 
         let plan = QueryPlan::from_params(self.params);
-        // Adaptive tuning: decide the frame's ladder rung *before* the view
-        // borrows the structures. The decision keys on the frame's live
-        // density, so a drifting scene migrates between signatures exactly
-        // as the continuous profiler files it.
-        let decision = match self.tuner.as_mut() {
-            Some(tuner) => {
-                let n = self.compact.len();
-                let backend = self.backend.as_dyn().name();
-                Some(tuner.decide(plan.kind_label(), n, backend, queries.len()))
-            }
-            None => None,
-        };
+        // Adaptive tuning keys on the frame's live density, so a drifting
+        // scene migrates between signatures exactly as the continuous
+        // profiler files it. The tuner lives on `self`, not on the
+        // transient view.
+        let (points, backend) = (self.compact.len(), self.backend.as_dyn().name());
+        let mut tuner = self.tuner.take_if(|_| overrides.is_empty());
         let mut view = self.frame_view(sync.dirty_region, structure_ms);
-        let results = match decision {
-            Some(d) => view.query_with(queries, &plan, d.overrides())?,
-            None => view.query(queries, &plan)?,
+        let (decision, results) = match tuner.as_mut() {
+            Some(t) => {
+                let (d, r) = t.run(plan.kind_label(), points, backend, queries.len(), |o| {
+                    view.query_with(queries, &plan, o)
+                });
+                (Some(d), r)
+            }
+            None => (None, view.query_with(queries, &plan, overrides)),
         };
         drop(view);
+        self.tuner = self.tuner.take().or(tuner);
+        let results = results?;
+        self.last_decision = decision.or(self.last_decision);
+        let ran = decision.map_or(overrides, |d| d.overrides());
 
-        // The cached partitioning pass ran exactly when partitioning is on,
-        // a grid exists and the search was non-trivial — the pending dirty
-        // region has then been absorbed into the cache and can be retired.
-        // Under auto tuning "partitioning is on" is the *decision's* level,
-        // not the config's: a frame the tuner ran at a lower rung never
-        // touched the cache, so its invalidations must stay pending.
-        let effective_opt = decision.map_or(self.config.opt, |d| d.level);
-        if effective_opt >= rtnn::OptLevel::SchedPartition
+        // The cached partitioning pass ran exactly when the frame's
+        // resolved partition stage wants the grid, a grid exists and the
+        // search was non-trivial — the pending dirty region has then been
+        // absorbed into the cache and can be retired. A frame run without
+        // partitioning never touched the cache, so its invalidations stay
+        // pending.
+        if ran.partition_stage().wants_grid()
             && self.grid.is_some()
             && !queries.is_empty()
             && !self.compact.is_empty()
         {
             self.pending_dirty = Aabb::EMPTY;
-        }
-        if let Some(d) = decision {
-            if let Some(tuner) = self.tuner.as_mut() {
-                tuner.observe(
-                    plan.kind_label(),
-                    self.compact.len(),
-                    self.backend.as_dyn().name(),
-                    d.level,
-                    &results.trace.stage_device_ms(),
-                    // `bvh_ms` carries the frame's structure maintenance
-                    // (billed to the Launch slot): exclude it so arms
-                    // compete on steady-state traversal cost.
-                    results.breakdown.bvh_ms,
-                );
-            }
-            self.last_decision = Some(d);
         }
 
         self.last_traversal_ms = Some(results.breakdown.fs_ms + results.breakdown.search_ms);
@@ -513,7 +507,7 @@ impl<'d> DynamicIndex<'d> {
     /// Build the per-frame adopted view both query paths share. The
     /// adopted megacell cache is tagged with the frame params, so view
     /// plans with other radii/K bypass it instead of wiping it. The view
-    /// itself never tunes: the tuner lives on `self`, across views.
+    /// itself holds no tuner: the tuner lives on `self`, across views.
     fn frame_view(&mut self, dirty_region: Aabb, structure_ms: f64) -> FrameIndex<'_> {
         let accel = self
             .accel
@@ -522,7 +516,7 @@ impl<'d> DynamicIndex<'d> {
         let mut index = Index::adopt(
             self.backend.as_dyn(),
             &self.compact,
-            self.config.with_tuning(Tuning::Static),
+            self.config,
             AdoptedScene {
                 accel,
                 grid: self.grid.as_ref(),
@@ -819,21 +813,24 @@ mod tests {
         let device = Device::rtx_2080();
         let points = jittered_block(4, 1.0);
         let params = SearchParams::range(1.5, 64);
-        let config = EngineConfig::default().with_opt(OptLevel::Sched);
-        let mut index = DynamicIndex::with_points(&device, config, params, &points);
-        index.search(&[Vec3::ZERO]).unwrap();
+        let sched = StageOverrides::for_level(OptLevel::Sched);
+        let mut index =
+            DynamicIndex::with_points(&device, EngineConfig::default(), params, &points);
+        index.search_with(&[Vec3::ZERO], sched).unwrap();
 
         // Remove a point and add one far away; handles shift for nobody.
         assert!(index.remove(3));
         assert!(!index.remove(3), "double remove must fail");
         let far = index.insert(Vec3::new(50.0, 50.0, 50.0));
         assert_eq!(index.len(), points.len());
-        let frame = index.search(&[Vec3::new(50.0, 50.0, 50.0)]).unwrap();
+        let frame = index
+            .search_with(&[Vec3::new(50.0, 50.0, 50.0)], sched)
+            .unwrap();
         assert_eq!(frame.action, StructureAction::Rebuilt);
         // The query at the inserted point must see it, by its handle.
         assert!(frame.results.neighbors[0].contains(&far));
         // And the removed point never appears again.
-        let all = index.search(&points).unwrap();
+        let all = index.search_with(&points, sched).unwrap();
         for neighbors in &all.results.neighbors {
             assert!(!neighbors.contains(&3), "removed handle reported");
         }
@@ -1121,7 +1118,7 @@ mod tests {
         let params = SearchParams::knn(1.2, 8);
         let queries: Vec<Vec3> = points.iter().step_by(3).copied().collect();
 
-        let drive = |seed: Option<u64>| -> (Vec<Vec<Vec<u32>>>, Vec<Option<rtnn::OptLevel>>) {
+        let drive = |seed: Option<u64>| {
             let mut index =
                 DynamicIndex::with_points(&device, EngineConfig::default(), params, &points);
             if let Some(seed) = seed {
@@ -1138,12 +1135,12 @@ mod tests {
                 neighbors.push(f.results.neighbors.clone());
                 levels.push(index.last_decision().map(|d| d.level));
             }
-            (neighbors, levels)
+            (neighbors, levels, index.tuner().map(AutoTuner::report))
         };
 
-        let (static_neighbors, static_levels) = drive(None);
-        let (auto_neighbors, auto_levels) = drive(Some(7));
-        let (auto_again, auto_levels_again) = drive(Some(7));
+        let (static_neighbors, static_levels, _) = drive(None);
+        let (auto_neighbors, auto_levels, report) = drive(Some(7));
+        let (auto_again, auto_levels_again, _) = drive(Some(7));
 
         assert!(static_levels.iter().all(Option::is_none));
         assert!(
@@ -1160,17 +1157,81 @@ mod tests {
         // the early frames the tuner spends exploring low ladder rungs.
         assert_eq!(auto_neighbors, static_neighbors);
         // The state survived across frames: by frame 8 all four arms have
-        // been bootstrapped, so later frames exploit measurements. An
-        // auto-tuning config installs the same carried tuner.
-        let config = EngineConfig::default().with_tuning(Tuning::Auto { seed: 7 });
-        let mut index = DynamicIndex::with_points(&device, config, params, &points);
-        for _ in 0..8 {
-            index.search(&queries).unwrap();
-        }
-        let report = index.tuner().unwrap().report();
+        // been bootstrapped, so later frames exploit measurements.
+        let report = report.expect("the tuner rode across frames");
         assert_eq!(report.len(), 1, "one signature: knn at this density");
         assert_eq!(report[0].measured_arms, 4, "all arms bootstrapped");
         assert_eq!(report[0].decisions, 8);
+    }
+
+    #[test]
+    fn search_with_a_rung_matches_a_fresh_index_at_that_rung() {
+        let device = Device::rtx_2080();
+        let backend = GpusimBackend::new(&device);
+        let points = jittered_block(6, 0.5);
+        let params = SearchParams::range(1.2, 10_000); // non-truncating
+        let queries: Vec<Vec3> = points.iter().step_by(3).copied().collect();
+        for level in OptLevel::all() {
+            let rung = StageOverrides::for_level(level);
+            let frame =
+                DynamicIndex::with_points(&device, EngineConfig::default(), params, &points)
+                    .search_with(&queries, rung)
+                    .unwrap();
+            let fresh = Index::build(&backend, &points[..], EngineConfig::default())
+                .query_with(&queries, &QueryPlan::from_params(params), rung)
+                .unwrap();
+            let sets = |n: &[Vec<u32>]| n.iter().cloned().map(sorted).collect::<Vec<_>>();
+            assert_eq!(
+                sets(&frame.results.neighbors),
+                sets(&fresh.neighbors),
+                "{level:?}"
+            );
+            assert_eq!(
+                frame.results.breakdown.fs_ms, fresh.breakdown.fs_ms,
+                "{level:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn unpartitioned_frames_keep_the_dirty_region_pending() {
+        let device = Device::rtx_2080();
+        let points = jittered_block(6, 0.5);
+        let params = SearchParams::knn(1.2, 8);
+        let queries: Vec<Vec3> = points.iter().step_by(2).copied().collect();
+        let mut index =
+            DynamicIndex::with_points(&device, EngineConfig::default(), params, &points);
+        index.search(&queries).unwrap();
+        assert!(index.pending_dirty.is_empty());
+
+        // Nudge interior points across grid cells (staying inside the grid
+        // bounds): a refit whose grid refresh dirties a region of the
+        // megacell cache.
+        for h in 0..points.len() as u32 {
+            let p = index.position(h).unwrap();
+            if p.x > 0.4 && p.x < 1.6 && p.y > 0.4 && p.y < 1.6 && p.z > 0.4 && p.z < 1.6 {
+                index.move_point(h, p + Vec3::splat(0.2));
+            }
+        }
+        let unpartitioned = index
+            .search_with(&queries, StageOverrides::without_partitioning())
+            .unwrap();
+        assert_eq!(unpartitioned.action, StructureAction::Refit);
+        assert!(
+            !index.pending_dirty.is_empty(),
+            "a frame that skipped the cached partitioning pass must keep its invalidation"
+        );
+
+        let moved: Vec<Vec3> = (0..points.len() as u32)
+            .map(|h| index.position(h).unwrap())
+            .collect();
+        let partitioned = index.search(&queries).unwrap();
+        rtnn::verify::check_all(&moved, &queries, &params, &partitioned.results.neighbors)
+            .unwrap_or_else(|(q, e)| panic!("query {q}: {e}"));
+        assert!(
+            index.pending_dirty.is_empty(),
+            "the partitioned frame absorbed the pending region"
+        );
     }
 
     #[test]

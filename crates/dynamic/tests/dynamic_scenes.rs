@@ -3,7 +3,10 @@
 //! bit-equal to a batch engine rebuilt from scratch every frame, while
 //! doing strictly less structure work.
 
-use rtnn::{EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan, SearchParams, SearchResults};
+use rtnn::{
+    EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan, SearchParams, SearchResults,
+    StageOverrides,
+};
 use rtnn_data::dynamics::{DriftModel, DriftScene, FrameUpdate};
 use rtnn_data::PointCloud;
 use rtnn_dynamic::{DynamicIndex, RebuildPolicy, StructureAction};
@@ -64,13 +67,18 @@ fn sorted(mut v: Vec<u32>) -> Vec<u32> {
 fn fresh_search(
     device: &Device,
     config: EngineConfig,
+    level: OptLevel,
     params: SearchParams,
     points: &[Vec3],
     queries: &[Vec3],
 ) -> SearchResults {
     let backend = GpusimBackend::new(device);
     Index::build(&backend, points, config)
-        .query(queries, &QueryPlan::from_params(params))
+        .query_with(
+            queries,
+            &QueryPlan::from_params(params),
+            StageOverrides::for_level(level),
+        )
         .unwrap()
 }
 
@@ -123,7 +131,7 @@ fn fifty_frame_sph_is_bit_identical_to_rebuilding_every_frame() {
         // rebuild index is already a from-scratch baseline; this guards the
         // adopted-scene plumbing itself).
         if frame % 10 == 0 {
-            let fresh = fresh_search(&device, config, params, &points, &queries);
+            let fresh = fresh_search(&device, config, OptLevel::Full, params, &points, &queries);
             for qi in 0..queries.len() {
                 assert_eq!(
                     sorted(dynamic.results.neighbors[qi].clone()),
@@ -185,7 +193,7 @@ fn lidar_churn_frames_stay_exact_through_forced_rebuilds() {
         let dynamic = index.search(&queries).unwrap();
         // Structural churn always rebuilds — and stays exact.
         assert_eq!(dynamic.action, StructureAction::Rebuilt);
-        let fresh = fresh_search(&device, config, params, &points, &queries);
+        let fresh = fresh_search(&device, config, OptLevel::Full, params, &points, &queries);
         // Handles and compact ids diverge once slots die: translate the
         // fresh engine's compact ids through the live slot order.
         let live_slots: Vec<u32> = (0..scene.num_slots() as u32)
@@ -210,9 +218,7 @@ fn nbody_orbit_mixes_refits_and_policy_rebuilds_and_stays_exact() {
     let device = Device::rtx_2080();
     let cloud = fluid_block(6, 0.6);
     let params = SearchParams::range(1.3, 4096);
-    let config = EngineConfig::default()
-        .with_opt(OptLevel::Full)
-        .with_grid_max_cells(1 << 12);
+    let config = EngineConfig::default().with_grid_max_cells(1 << 12);
     let mut scene = DriftScene::new(&cloud, DriftModel::NBodyOrbit { angular_step: 0.06 }, 3);
     let mut index = DynamicIndex::with_points(&device, config, params, &cloud.points);
     for frame in 0..12 {
@@ -221,7 +227,7 @@ fn nbody_orbit_mixes_refits_and_policy_rebuilds_and_stays_exact() {
         let points = scene.live_points();
         let queries: Vec<Vec3> = points.iter().step_by(2).copied().collect();
         let dynamic = index.search(&queries).unwrap();
-        let fresh = fresh_search(&device, config, params, &points, &queries);
+        let fresh = fresh_search(&device, config, OptLevel::Full, params, &points, &queries);
         for qi in 0..queries.len() {
             assert_eq!(
                 sorted(dynamic.results.neighbors[qi].clone()),
@@ -258,9 +264,8 @@ fn dynamic_scene_stress_sweep() {
     for (mi, model) in models.iter().enumerate() {
         for params in param_sets {
             for opt in OptLevel::all() {
-                let config = EngineConfig::default()
-                    .with_opt(opt)
-                    .with_grid_max_cells(1 << 14);
+                let config = EngineConfig::default().with_grid_max_cells(1 << 14);
+                let rung = StageOverrides::for_level(opt);
                 let mut scene = DriftScene::new(&cloud, *model, 0xAB + mi as u64);
                 let mut index = DynamicIndex::with_points(&device, config, params, &cloud.points);
                 for frame in 0..20 {
@@ -268,8 +273,8 @@ fn dynamic_scene_stress_sweep() {
                     apply_update(&mut index, &scene, &update);
                     let points = scene.live_points();
                     let queries: Vec<Vec3> = points.iter().step_by(4).copied().collect();
-                    let dynamic = index.search(&queries).unwrap();
-                    let fresh = fresh_search(&device, config, params, &points, &queries);
+                    let dynamic = index.search_with(&queries, rung).unwrap();
+                    let fresh = fresh_search(&device, config, opt, params, &points, &queries);
                     let live_slots: Vec<u32> = (0..scene.num_slots() as u32)
                         .filter(|&s| scene.position(s).is_some())
                         .collect();

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use rtnn::{
     EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan, SearchMode, SearchParams,
-    SearchResults,
+    SearchResults, StageOverrides,
 };
 use rtnn_dynamic::{DynamicIndex, RebuildPolicy, StructureAction};
 use rtnn_gpusim::Device;
@@ -47,13 +47,18 @@ fn sorted(mut v: Vec<u32>) -> Vec<u32> {
 fn fresh_search(
     device: &Device,
     config: EngineConfig,
+    level: OptLevel,
     params: SearchParams,
     points: &[Vec3],
     queries: &[Vec3],
 ) -> SearchResults {
     let backend = GpusimBackend::new(device);
     Index::build(&backend, points, config)
-        .query(queries, &QueryPlan::from_params(params))
+        .query_with(
+            queries,
+            &QueryPlan::from_params(params),
+            StageOverrides::for_level(level),
+        )
         .unwrap()
 }
 
@@ -78,9 +83,8 @@ proptest! {
         let k = if mode_is_knn { k } else { 10_000 };
         let params = SearchParams { radius, k, mode };
         let opt = OptLevel::all()[opt_idx];
-        let config = EngineConfig::default()
-            .with_opt(opt)
-            .with_grid_max_cells(1 << 12);
+        let config = EngineConfig::default().with_grid_max_cells(1 << 12);
+        let rung = StageOverrides::for_level(opt);
 
         // Force the refit path for every motion frame.
         let mut index =
@@ -90,7 +94,7 @@ proptest! {
             index.insert(p);
         }
         let queries: Vec<Vec3> = current.iter().step_by(3).copied().collect();
-        let first = index.search(&queries).unwrap();
+        let first = index.search_with(&queries, rung).unwrap();
         prop_assert_eq!(first.action, StructureAction::Rebuilt);
 
         // Drift the cloud a few frames, refitting every time.
@@ -100,10 +104,10 @@ proptest! {
                 index.move_point(h as u32, *p);
             }
             let queries: Vec<Vec3> = current.iter().step_by(3).copied().collect();
-            let refit = index.search(&queries).unwrap();
+            let refit = index.search_with(&queries, rung).unwrap();
             prop_assert_eq!(refit.action, StructureAction::Refit);
 
-            let fresh = fresh_search(&device, config, params, &current, &queries);
+            let fresh = fresh_search(&device, config, opt, params, &current, &queries);
             for qi in 0..queries.len() {
                 let d = sorted(refit.results.neighbors[qi].clone());
                 let f = sorted(fresh.neighbors[qi].clone());

@@ -15,9 +15,11 @@
 use crate::request::Request;
 use rtnn::SearchError;
 use rtnn::{
-    AutoTuner, CostCoefficients, PlanSlice, QueryPlan, SearchResults, StageOverrides, TunerDecision,
+    validate_queries, AutoTuner, CostCoefficients, PlanSlice, QueryPlan, SearchResults,
+    StageOverrides, TunerDecision,
 };
 use rtnn_math::Vec3;
+use std::borrow::Cow;
 
 /// Anything that can execute one tick's fused plan: an `rtnn::Index`, a
 /// [`ShardedIndex`](crate::ShardedIndex), or a test double.
@@ -131,48 +133,6 @@ pub fn execute_tick<E: TickExecutor>(
     execute_tick_tuned(executor, requests, None)
 }
 
-/// One tick's decide → execute → observe round-trip: ask the tuner for
-/// the tick's ladder rung (lazily handing it the executor's calibrated
-/// cost model), run the fused plan under the decided overrides, and fold
-/// the measured stage timings back in on success.
-fn tuned_execute<E: TickExecutor>(
-    executor: &mut E,
-    tuner: &mut Option<&mut AutoTuner>,
-    queries: &[Vec3],
-    plan: &QueryPlan,
-) -> (Option<TunerDecision>, Result<SearchResults, SearchError>) {
-    let decision = tuner.as_deref_mut().and_then(|t| {
-        let (points, backend) = executor.tuner_signature()?;
-        if !t.has_cost_model() {
-            if let Some(cost) = executor.calibrated_cost() {
-                t.set_cost_model(cost);
-            }
-        }
-        let d = t.decide(plan.kind_label(), points, backend, queries.len());
-        Some((d, points, backend))
-    });
-    match decision {
-        Some((d, points, backend)) => {
-            let result = executor.execute_with(queries, plan, d.overrides());
-            if let (Ok(results), Some(t)) = (&result, tuner.as_deref_mut()) {
-                t.observe(
-                    plan.kind_label(),
-                    points,
-                    backend,
-                    d.level,
-                    &results.trace.stage_device_ms(),
-                    // Structure builds are one-time costs billed to the
-                    // Launch slot; exclude them so arms compete on the
-                    // steady-state tick cost.
-                    results.breakdown.bvh_ms,
-                );
-            }
-            (Some(d), result)
-        }
-        None => (None, executor.execute(queries, plan)),
-    }
-}
-
 /// [`execute_tick`] with an optional [`AutoTuner`] steering the tick's
 /// pipeline stages: **one decision per fused batch** — the tuner is
 /// consulted once, right before the tick's single launch, with the
@@ -184,69 +144,49 @@ fn tuned_execute<E: TickExecutor>(
 pub fn execute_tick_tuned<E: TickExecutor>(
     executor: &mut E,
     requests: &[&Request],
-    mut tuner: Option<&mut AutoTuner>,
+    tuner: Option<&mut AutoTuner>,
 ) -> (Vec<RequestOutcome>, TickOutcome) {
     let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; requests.len()];
 
-    // Per-request validation: a malformed plan must not poison the tick.
-    // Each plan is normalized exactly once here; the fusion loop below
-    // reuses the (usually borrowed) result.
+    // Per-request validation: a malformed plan or a non-finite query must
+    // not poison the tick. Each plan is normalized exactly once here; the
+    // fusion loop below reuses the (usually borrowed) result.
     let mut valid: Vec<usize> = Vec::with_capacity(requests.len());
-    let mut normalized: Vec<Option<std::borrow::Cow<'_, QueryPlan>>> =
-        Vec::with_capacity(requests.len());
+    let mut normalized: Vec<Cow<'_, QueryPlan>> = Vec::with_capacity(requests.len());
     for (ri, req) in requests.iter().enumerate() {
         let plan = req.plan.normalized();
-        match plan.validate(req.queries.len()) {
-            Ok(()) => {
-                valid.push(ri);
-                normalized.push(Some(plan));
-            }
-            Err(e) => {
-                outcomes[ri] = Some(Err(SearchError::InvalidPlan(e)));
-                normalized.push(None);
-            }
+        let checked = plan.validate(req.queries.len());
+        match checked.and_then(|()| validate_queries(&req.queries)) {
+            Ok(()) => valid.push(ri),
+            Err(e) => outcomes[ri] = Some(Err(SearchError::InvalidPlan(e))),
         }
+        normalized.push(plan);
     }
 
     let mut tick = TickOutcome {
         requests: valid.len(),
+        queries: valid.iter().map(|&ri| requests[ri].queries.len()).sum(),
         ..TickOutcome::default()
     };
-
-    // Single-request ticks pass through untouched — the one-request-per-
-    // call baseline, and trivially bit-equal to a direct query.
-    if valid.len() == 1 {
-        let ri = valid[0];
-        let req = requests[ri];
-        tick.queries = req.queries.len();
-        let (tuned, result) = tuned_execute(executor, &mut tuner, &req.queries, &req.plan);
-        tick.tuned = tuned;
-        match result {
-            Ok(results) => {
-                tick.sim_ms = results.total_time_ms();
-                tick.stage_device_ms = results.trace.stage_device_ms();
-                outcomes[ri] = Some(Ok(results.neighbors));
-            }
-            Err(e) => outcomes[ri] = Some(Err(e)),
-        }
+    if valid.is_empty() {
         return (finish(outcomes), tick);
     }
 
-    if !valid.is_empty() {
-        // Fuse: concatenate query arrays, offset every slice into the
-        // concatenated id space.
-        let mut queries: Vec<Vec3> = Vec::new();
+    // Single-request ticks pass through untouched — the one-request-per-
+    // call baseline, and trivially bit-equal to a direct query. Larger
+    // ticks fuse: concatenate query arrays and offset every slice into the
+    // concatenated id space.
+    let (queries, plan): (Cow<'_, [Vec3]>, Cow<'_, QueryPlan>) = if let [ri] = valid[..] {
+        let req = requests[ri];
+        (Cow::Borrowed(&req.queries), Cow::Borrowed(&req.plan))
+    } else {
+        let mut queries: Vec<Vec3> = Vec::with_capacity(tick.queries);
         let mut slices: Vec<PlanSlice> = Vec::new();
-        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(valid.len());
         for &ri in &valid {
             let req = requests[ri];
             let offset = queries.len() as u32;
             queries.extend_from_slice(&req.queries);
-            spans.push((offset as usize, req.queries.len()));
-            match normalized[ri]
-                .as_deref()
-                .expect("valid requests kept their plan")
-            {
+            match normalized[ri].as_ref() {
                 QueryPlan::Batch(request_slices) => {
                     for s in request_slices {
                         slices.push(PlanSlice::new(
@@ -264,41 +204,53 @@ pub fn execute_tick_tuned<E: TickExecutor>(
                 }
             }
         }
-        tick.queries = queries.len();
-
-        if slices.is_empty() || queries.is_empty() {
+        if queries.is_empty() {
             // Nothing to launch (all fused requests were empty): every
             // request gets its (empty) per-query lists back.
-            for (vi, &ri) in valid.iter().enumerate() {
-                outcomes[ri] = Some(Ok(vec![Vec::new(); spans[vi].1]));
+            for &ri in &valid {
+                outcomes[ri] = Some(Ok(Vec::new()));
             }
             return (finish(outcomes), tick);
         }
-
         // One fused plan for the tick; `normalized` merges slices with
         // identical parameters across requests.
         let plan = QueryPlan::Batch(slices).normalized().into_owned();
-        let (tuned, result) = tuned_execute(executor, &mut tuner, &queries, &plan);
-        tick.tuned = tuned;
-        match result {
-            Ok(results) => {
-                tick.sim_ms = results.total_time_ms();
-                tick.stage_device_ms = results.trace.stage_device_ms();
-                for (vi, &ri) in valid.iter().enumerate() {
-                    let (offset, len) = spans[vi];
-                    outcomes[ri] = Some(Ok(results.neighbors[offset..offset + len].to_vec()));
-                }
+        (Cow::Owned(queries), Cow::Owned(plan))
+    };
+
+    // One `AutoTuner::run` round-trip per tick, lazily handing the tuner
+    // the executor's calibrated cost model; untuned ticks and untunable
+    // executors run the plain path.
+    let result = match (tuner, executor.tuner_signature()) {
+        (Some(t), Some((points, backend))) => {
+            t.ensure_cost_model(|| executor.calibrated_cost());
+            let (d, result) = t.run(plan.kind_label(), points, backend, queries.len(), |o| {
+                executor.execute_with(&queries, &plan, o)
+            });
+            tick.tuned = Some(d);
+            result
+        }
+        _ => executor.execute(&queries, &plan),
+    };
+    match result {
+        Ok(results) => {
+            tick.sim_ms = results.total_time_ms();
+            tick.stage_device_ms = results.trace.stage_device_ms();
+            // Requests occupy consecutive spans of the launched queries.
+            let mut neighbors = results.neighbors.into_iter();
+            for &ri in &valid {
+                let len = requests[ri].queries.len();
+                outcomes[ri] = Some(Ok(neighbors.by_ref().take(len).collect()));
             }
-            Err(e) => {
-                // An execution-level failure (device OOM) fails the whole
-                // tick: every fused request learns about it.
-                for &ri in &valid {
-                    outcomes[ri] = Some(Err(e.clone()));
-                }
+        }
+        Err(e) => {
+            // An execution-level failure (device OOM) fails the whole
+            // tick: every fused request learns about it.
+            for &ri in &valid {
+                outcomes[ri] = Some(Err(e.clone()));
             }
         }
     }
-
     (finish(outcomes), tick)
 }
 
@@ -329,12 +281,9 @@ mod tests {
             self.calls.push((queries.len(), plan.clone()));
             Ok(SearchResults {
                 neighbors: (0..queries.len() as u32).map(|i| vec![i]).collect(),
-                breakdown: Default::default(),
-                search_metrics: Default::default(),
-                fs_metrics: Default::default(),
                 num_partitions: 1,
                 num_bundles: 1,
-                trace: Default::default(),
+                ..Default::default()
             })
         }
     }

@@ -348,11 +348,9 @@ mod tests {
                     search_ms: 2.0 + queries.len() as f64,
                     ..Default::default()
                 },
-                search_metrics: Default::default(),
-                fs_metrics: Default::default(),
                 num_partitions: 1,
                 num_bundles: 1,
-                trace: Default::default(),
+                ..Default::default()
             })
         }
     }

@@ -259,13 +259,11 @@ impl QueryService {
             let (outcomes, tick_outcome) = Telemetry::scoped(tel, || {
                 let mut tick_span = tel.span_with_parent("serve.tick", tick[0].span_id);
                 let requests: Vec<&Request> = tick.iter().map(|e| &e.request).collect();
-                let result = match &self.tuner {
-                    Some(tuner) => {
-                        let mut tuner = tuner.lock().expect("auto tuner lock poisoned");
-                        execute_tick_tuned(executor, &requests, Some(&mut tuner))
-                    }
-                    None => execute_tick_tuned(executor, &requests, None),
-                };
+                let mut tuner = self
+                    .tuner
+                    .as_ref()
+                    .map(|t| t.lock().expect("tuner lock poisoned"));
+                let result = execute_tick_tuned(executor, &requests, tuner.as_deref_mut());
                 tick_span
                     .attr("requests", tick.len() as f64)
                     .attr("queries", result.1.queries as f64)

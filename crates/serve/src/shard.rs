@@ -27,9 +27,9 @@
 use crate::coalesce::TickExecutor;
 use rtnn::SearchError;
 use rtnn::{
-    Backend, CostCoefficients, EngineConfig, Index, LaunchMetrics, PipelineTrace, PlanSlice,
-    QueryPlan, SearchParams, SearchResults, ShardMerge, StageKind, StageOverrides, TimeBreakdown,
-    Tuning,
+    validate_queries, Backend, CostCoefficients, EngineConfig, Index, LaunchMetrics, PipelineTrace,
+    PlanSlice, QueryPlan, SearchParams, SearchResults, ShardMerge, StageKind, StageOverrides,
+    TimeBreakdown,
 };
 use rtnn_math::{Aabb, Vec3};
 use rtnn_parallel::{par_map_collect, par_map_collect_mut};
@@ -138,14 +138,6 @@ impl<'a> ShardedIndex<'a> {
         } else {
             order.chunks(chunk).collect()
         };
-        // Shards always select stages statically: adaptive tuning operates
-        // at the *tick* level (one decision per fan-out, threaded through
-        // `query_with`), so a per-shard tuner would both double-decide and
-        // let shards diverge from each other within one tick.
-        let shard_config = EngineConfig {
-            tuning: Tuning::Static,
-            ..config
-        };
         let shards = par_map_collect(chunks.len(), |ci| {
             // Suppressed: worker-thread telemetry would land in the global
             // sink in scheduling order (see `query` for the rationale).
@@ -154,8 +146,10 @@ impl<'a> ShardedIndex<'a> {
                 let shard_points: Vec<Vec3> =
                     global_ids.iter().map(|&id| points[id as usize]).collect();
                 let bounds = Aabb::from_points(&shard_points);
+                // Shards hold no tuner: tuning decides once per tick and
+                // threads that decision into every shard via `query_with`.
                 Shard {
-                    index: Index::build(backend, shard_points, shard_config),
+                    index: Index::build(backend, shard_points, config),
                     global_ids,
                     bounds,
                 }
@@ -242,8 +236,10 @@ impl<'a> ShardedIndex<'a> {
         overrides: StageOverrides<'_>,
     ) -> Result<SearchResults, SearchError> {
         let plan = plan.normalized();
-        plan.validate(queries.len())
-            .map_err(SearchError::InvalidPlan)?;
+        plan.validate(queries.len())?;
+        // Checked here, not only per shard, so the error names the
+        // caller's query index rather than a shard-local one.
+        validate_queries(queries)?;
 
         // One query span over the whole fan-out + merge; the per-shard
         // spans synthesized below nest under it. Worker threads run

@@ -196,11 +196,14 @@ fn main() {
             .is_some(),
         "the observed knn call must be profiled under its signature"
     );
-    // 10. Adaptive stage tuning: `EngineConfig::auto()` lets the index pick
-    //     the `StageOverrides` rung per (plan kind, density bucket, backend)
-    //     signature — cost model first, then measured arm scores. Tuning
-    //     changes which stages run, never the answer.
-    let mut auto = Index::build(&backend, &points[..], EngineConfig::auto());
+    // 10. Adaptive stage tuning: an index holding a tuner
+    //     (`Index::enable_auto`) picks the `StageOverrides::for_level` rung
+    //     for every call made without explicit overrides, per (plan kind,
+    //     density bucket, backend) signature — cost model first, then
+    //     measured arm scores. Tuning changes which stages run, never the
+    //     answer.
+    let mut auto = Index::build(&backend, &points[..], EngineConfig::default());
+    auto.enable_auto(rtnn::autotune::DEFAULT_SEED);
     for round in 0..6 {
         let plan = if round % 2 == 0 {
             QueryPlan::knn(2.5, 8)
@@ -223,7 +226,7 @@ fn main() {
         }
     }
     println!("tuner report (chosen overrides per signature):");
-    for sig in auto.tuner().expect("auto mode carries a tuner").report() {
+    for sig in auto.tuner().expect("the index holds a tuner").report() {
         println!(
             "  {}: {} decision(s), {}/4 arms measured, steady choice {:?}",
             sig.label(),

@@ -8,25 +8,18 @@
 //! Every reduction in `rtnn-analytics` is order-invariant, so these are
 //! exact `assert_eq!`s — no tolerance, no set-normalisation.
 
+mod common;
+
+use common::{all_backends, seeded_cloud};
 use proptest::prelude::*;
-use rtnn::{Backend, EngineConfig, GpusimBackend, Index};
+use rtnn::{EngineConfig, GpusimBackend, Index};
 use rtnn_analytics::stream::FrameChange;
 use rtnn_analytics::{Dbscan, ReverseKnn, StreamingDbscan};
-use rtnn_baselines::{dbscan_oracle, rknn_oracle, BruteForceBackend};
-use rtnn_data::uniform::{self, UniformParams};
+use rtnn_baselines::{dbscan_oracle, rknn_oracle};
 use rtnn_dynamic::DynamicIndex;
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
 use rtnn_serve::ShardedIndex;
-
-fn seeded_cloud(n: usize, seed: u64) -> Vec<Vec3> {
-    uniform::generate(&UniformParams {
-        num_points: n,
-        seed,
-        ..Default::default()
-    })
-    .points
-}
 
 /// DBSCAN parameter sweep: sparse through dense neighborhoods.
 const DBSCAN_GRID: [(f32, usize); 3] = [(0.6, 3), (0.9, 5), (1.4, 8)];
@@ -36,11 +29,7 @@ const RKNN_GRID: [(usize, f32); 3] = [(1, 0.8), (3, 1.2), (6, 2.0)];
 #[test]
 fn dbscan_labels_match_the_oracle_on_every_backend() {
     let device = Device::rtx_2080();
-    let backends: Vec<(&str, Box<dyn Backend>)> = vec![
-        ("gpusim", Box::new(GpusimBackend::new(&device))),
-        ("optix", Box::new(GpusimBackend::opaque(&device))),
-        ("brute-force", Box::new(BruteForceBackend::new(&device))),
-    ];
+    let backends = all_backends(&device);
     let points = seeded_cloud(420, 0xD85C);
     for (eps, min_pts) in DBSCAN_GRID {
         let want = dbscan_oracle(&points, eps, min_pts);
@@ -61,11 +50,7 @@ fn dbscan_labels_match_the_oracle_on_every_backend() {
 #[test]
 fn rknn_members_match_the_oracle_on_every_backend() {
     let device = Device::rtx_2080();
-    let backends: Vec<(&str, Box<dyn Backend>)> = vec![
-        ("gpusim", Box::new(GpusimBackend::new(&device))),
-        ("optix", Box::new(GpusimBackend::opaque(&device))),
-        ("brute-force", Box::new(BruteForceBackend::new(&device))),
-    ];
+    let backends = all_backends(&device);
     let points = seeded_cloud(380, 0x4B1D);
     let mut queries: Vec<Vec3> = points.iter().step_by(11).copied().collect();
     queries.push(Vec3::new(-60.0, -60.0, -60.0)); // far outside: empty set

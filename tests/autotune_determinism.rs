@@ -15,12 +15,14 @@
 //!   stays bit-equal to direct unsharded queries and records its decision
 //!   on every tick.
 
+mod common;
+
+use common::all_backends;
 use rtnn::telemetry::{SignatureProfiler, Telemetry, TelemetryLevel};
 use rtnn::{
-    AutoTuner, Backend, DecisionSource, EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan,
-    StageOverrides, TunerDecision, Tuning,
+    autotune::DEFAULT_SEED, AutoTuner, Backend, DecisionSource, EngineConfig, GpusimBackend, Index,
+    OptLevel, QueryPlan, StageOverrides, TunerDecision,
 };
-use rtnn_baselines::BruteForceBackend;
 use rtnn_data::uniform::{self, UniformParams};
 use rtnn_gpusim::Device;
 use rtnn_math::{Aabb, Vec3};
@@ -66,8 +68,8 @@ fn plan_for(round: usize) -> QueryPlan {
     }
 }
 
-/// One auto-tuned session: `rounds` queries on a fresh auto index,
-/// returning each round's decision and neighbors.
+/// One auto-tuned session: `rounds` queries on a fresh index holding a
+/// tuner, returning each round's decision and neighbors.
 fn auto_session(
     backend: &dyn Backend,
     points: &[Vec3],
@@ -75,8 +77,8 @@ fn auto_session(
     seed: u64,
     rounds: usize,
 ) -> Vec<(TunerDecision, Vec<Vec<u32>>)> {
-    let config = EngineConfig::default().with_tuning(Tuning::Auto { seed });
-    let mut index = Index::build(backend, points, config);
+    let mut index = Index::build(backend, points, EngineConfig::default());
+    index.enable_auto(seed);
     (0..rounds)
         .map(|round| {
             let results = index
@@ -95,12 +97,7 @@ fn same_seed_replays_identical_decisions_and_bit_equal_results_per_backend() {
     let device = Device::rtx_2080();
     let points = seeded_cloud(2_000, 0xA0_70);
     let queries = queries_for(&points);
-    let backends: [(&str, Box<dyn Backend>); 3] = [
-        ("gpusim", Box::new(GpusimBackend::new(&device))),
-        ("optix-shim", Box::new(GpusimBackend::opaque(&device))),
-        ("brute-force", Box::new(BruteForceBackend::new(&device))),
-    ];
-    for (name, backend) in &backends {
+    for (name, backend) in &all_backends(&device) {
         let first = auto_session(backend.as_ref(), &points, &queries, 99, 12);
         let second = auto_session(backend.as_ref(), &points, &queries, 99, 12);
         assert_eq!(first, second, "{name}: same seed must replay exactly");
@@ -211,14 +208,11 @@ fn replayed_profiles_seed_identical_decisions() {
     // bootstraps the remaining arms instead.
     assert_ne!(first[0].source, DecisionSource::CostModel);
 
-    // The integrated path — an auto index created under the recorded
-    // telemetry — also starts from the absorbed profile, and stays exact.
+    // The integrated path — a tuner enabled under the recorded telemetry —
+    // also starts from the absorbed profile, and stays exact.
     Telemetry::scoped(&tel, || {
-        let mut auto = Index::build(
-            &backend,
-            &points,
-            EngineConfig::default().with_tuning(Tuning::auto()),
-        );
+        let mut auto = Index::build(&backend, &points, EngineConfig::default());
+        auto.enable_auto(DEFAULT_SEED);
         let results = auto
             .query(&queries, &QueryPlan::knn(1.5, 8))
             .expect("auto run fits the device");

@@ -9,26 +9,20 @@
 //! Also proves the `Backend` trait stays object-safe: every backend in the
 //! suite is driven through a `Box<dyn Backend>`.
 
+mod common;
+
+use common::{all_backends, seeded_cloud};
 use rtnn::{
-    Backend, EngineConfig, GpusimBackend, Index, OptLevel, PlanSlice, QueryPlan, StageOverrides,
+    Backend, EngineConfig, GpusimBackend, Index, OptLevel, PlanError, PlanSlice, QueryPlan,
+    SearchError, StageOverrides,
 };
 use rtnn_baselines::BruteForceBackend;
-use rtnn_data::uniform::{self, UniformParams};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
 
 /// A seeded random cloud (no grid degeneracies, so float distance ties —
 /// the one thing that could legitimately differ between candidate visit
 /// orders — do not occur).
-fn seeded_cloud(n: usize, seed: u64) -> Vec<Vec3> {
-    uniform::generate(&UniformParams {
-        num_points: n,
-        seed,
-        ..Default::default()
-    })
-    .points
-}
-
 fn queries_for(points: &[Vec3]) -> Vec<Vec3> {
     let mut queries: Vec<Vec3> = points.iter().step_by(9).copied().collect();
     // A few queries outside the cloud exercise the out-of-grid paths.
@@ -51,9 +45,9 @@ fn run_plan(
     opt: OptLevel,
     plan: &QueryPlan,
 ) -> Vec<Vec<u32>> {
-    let mut index = Index::build(backend, points, EngineConfig::default().with_opt(opt));
+    let mut index = Index::build(backend, points, EngineConfig::default());
     index
-        .query(queries, plan)
+        .query_with(queries, plan, StageOverrides::for_level(opt))
         .expect("equivalence workload fits the device")
         .neighbors
 }
@@ -169,11 +163,7 @@ fn stage_overrides_preserve_backend_equivalence() {
     let points = seeded_cloud(1500, 0x0DDBA11);
     let queries = queries_for(&points);
     let plan = QueryPlan::knn(6.0, 8);
-    let backends: Vec<(&str, Box<dyn Backend + '_>)> = vec![
-        ("gpusim", Box::new(GpusimBackend::new(&device))),
-        ("optix-shim", Box::new(GpusimBackend::opaque(&device))),
-        ("brute-force", Box::new(BruteForceBackend::new(&device))),
-    ];
+    let backends = all_backends(&device);
     let toggles = [
         ("none", StageOverrides::none()),
         ("no-reorder", StageOverrides::without_reordering()),
@@ -216,5 +206,38 @@ fn oracle_matches_the_reference_brute_force_scan() {
     );
     for (qi, q) in queries.iter().enumerate() {
         assert_eq!(got[qi], rtnn::verify::brute_force_knn(&points, *q, 8.0, 6));
+    }
+}
+
+#[test]
+fn non_finite_queries_are_rejected_with_their_index_on_every_backend() {
+    // A NaN or infinite query coordinate has no neighbors to report: every
+    // backend fails the call with a typed error naming the query, instead
+    // of reaching the traversal kernels.
+    let device = Device::rtx_2080();
+    let points: Vec<Vec3> = (0..100)
+        .map(|i| Vec3::new((i % 10) as f32, (i / 10) as f32, 0.0))
+        .collect();
+    // Off-lattice queries: no distance ties at the 4th neighbor.
+    let good = vec![Vec3::new(1.13, 0.91, 0.07), Vec3::new(4.62, 3.31, 0.0)];
+    let plan = QueryPlan::knn(1.5, 4);
+    let backends = all_backends(&device);
+    let mut reference: Option<Vec<Vec<u32>>> = None;
+    for (name, backend) in &backends {
+        let mut index = Index::build(backend.as_ref(), &points[..], EngineConfig::default());
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let queries = [good[0], Vec3::new(0.0, bad, 0.0), good[1]];
+            for call in [&plan, &QueryPlan::range(1.5, 8)] {
+                assert_eq!(
+                    index.query(&queries, call).unwrap_err(),
+                    SearchError::InvalidPlan(PlanError::NonFiniteQuery { query: 1 }),
+                    "{name}: {bad} in a {} call",
+                    call.kind_label()
+                );
+            }
+        }
+        // The finite queries alone still agree on every backend.
+        let got = index.query(&good, &plan).unwrap().neighbors;
+        assert_eq!(&got, reference.get_or_insert_with(|| got.clone()), "{name}");
     }
 }

@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::fresh_search;
+use common::{fresh_search_at, seeded_cloud};
 use rtnn::pipeline::{IdentitySchedule, MegacellPartition, SinglePartition};
 use rtnn::{
     AdoptedScene, Backend, EngineConfig, GpusimBackend, Index, LaunchMetrics, MegacellCache,
@@ -19,19 +19,9 @@ use rtnn::{
     SearchResults, StageKind, StageOverrides,
 };
 use rtnn_bvh::BuildParams;
-use rtnn_data::uniform::{self, UniformParams};
 use rtnn_dynamic::DynamicIndex;
 use rtnn_gpusim::Device;
 use rtnn_math::{Aabb, Vec3};
-
-fn seeded_cloud(n: usize, seed: u64) -> Vec<Vec3> {
-    uniform::generate(&UniformParams {
-        num_points: n,
-        seed,
-        ..Default::default()
-    })
-    .points
-}
 
 /// FNV-1a offset basis: the fingerprint of no results.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -125,13 +115,13 @@ fn index_is_bit_equal_to_legacy_engine_for_all_plans_and_opt_levels() {
     ] {
         for opt in OptLevel::all() {
             let plan = QueryPlan::from_params(params);
-            let mut index =
-                Index::build(&backend, &points[..], EngineConfig::default().with_opt(opt));
-            let first = index.query(&queries, &plan).unwrap();
+            let rung = StageOverrides::for_level(opt);
+            let mut index = Index::build(&backend, &points[..], EngineConfig::default());
+            let first = index.query_with(&queries, &plan, rung).unwrap();
             hash = fingerprint(hash, &first);
             // A repeat pays no structure builds and returns identical
             // results.
-            let again = index.query(&queries, &plan).unwrap();
+            let again = index.query_with(&queries, &plan, rung).unwrap();
             assert_eq!(again.neighbors, first.neighbors);
             assert_eq!(
                 again.breakdown.bvh_ms, 0.0,
@@ -155,8 +145,8 @@ fn index_on_a_regular_grid_matches_the_legacy_engine_golden() {
     let mut hash = FNV_OFFSET;
     for params in [SearchParams::knn(1.4, 7), SearchParams::range(1.1, 64)] {
         for opt in OptLevel::all() {
-            let config = EngineConfig::default().with_opt(opt);
-            let results = fresh_search(&device, config, params, &points, &queries);
+            let config = EngineConfig::default();
+            let results = fresh_search_at(&device, config, opt, params, &points, &queries);
             hash = fingerprint(hash, &results);
         }
     }
@@ -177,8 +167,9 @@ fn adopted_scene_matches_a_fresh_index_and_charges_structure_time() {
     let mut hash = FNV_OFFSET;
     for params in [SearchParams::knn(1.5, 6), SearchParams::range(1.5, 64)] {
         for opt in OptLevel::all() {
-            let config = EngineConfig::default().with_opt(opt);
-            let fresh = fresh_search(&device, config, params, &points, &queries);
+            let config = EngineConfig::default();
+            let rung = StageOverrides::for_level(opt);
+            let fresh = fresh_search_at(&device, config, opt, params, &points, &queries);
 
             let width = 2.0 * params.radius * config.approx.aabb_width_factor();
             let accel = backend
@@ -200,7 +191,7 @@ fn adopted_scene_matches_a_fresh_index_and_charges_structure_time() {
             );
             index.charge_structure_ms(0.01);
             let adopted = index
-                .query(&queries, &QueryPlan::from_params(params))
+                .query_with(&queries, &QueryPlan::from_params(params), rung)
                 .unwrap();
             hash = fingerprint(hash, &adopted);
             assert_eq!(
@@ -328,9 +319,10 @@ fn stage_overrides_are_bit_equal_to_the_opt_level_ladder() {
 
     for plan in [QueryPlan::knn(5.0, 8), QueryPlan::range(4.0, 64)] {
         for (opt, overrides) in ladder {
-            let mut levelled =
-                Index::build(&backend, &points[..], EngineConfig::default().with_opt(opt));
-            let expected = levelled.query(&queries, &plan).unwrap();
+            let mut levelled = Index::build(&backend, &points[..], EngineConfig::default());
+            let expected = levelled
+                .query_with(&queries, &plan, StageOverrides::for_level(opt))
+                .unwrap();
 
             let mut full = Index::build(&backend, &points[..], EngineConfig::default());
             let got = full.query_with(&queries, &plan, overrides).unwrap();
@@ -387,9 +379,10 @@ fn stage_timings_sum_to_the_launch_metrics_totals() {
 
     for opt in OptLevel::all() {
         for plan in &plans {
-            let mut index =
-                Index::build(&backend, &points[..], EngineConfig::default().with_opt(opt));
-            let results = index.query(&queries, plan).unwrap();
+            let mut index = Index::build(&backend, &points[..], EngineConfig::default());
+            let results = index
+                .query_with(&queries, plan, StageOverrides::for_level(opt))
+                .unwrap();
             let b = &results.breakdown;
             let trace = &results.trace;
 

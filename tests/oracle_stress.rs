@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::fresh_search;
+use common::fresh_search_at;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rtnn::verify::check_all;
@@ -44,8 +44,8 @@ fn rtnn_agrees_with_brute_force_on_many_random_instances() {
         for mode in [SearchMode::Range, SearchMode::Knn] {
             let params = SearchParams { radius, k, mode };
             for opt in OptLevel::all() {
-                let config = EngineConfig::default().with_opt(opt);
-                let results = fresh_search(&device, config, params, &points, &queries);
+                let config = EngineConfig::default();
+                let results = fresh_search_at(&device, config, opt, params, &points, &queries);
                 if let Err((q, e)) = check_all(&points, &queries, &params, &results.neighbors) {
                     panic!(
                         "case {case} {mode:?} {opt:?} r={radius} k={k} n={} query {q}: {e}",

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::fresh_search;
+use common::{fresh_search, fresh_search_at};
 use rtnn::{ApproxMode, EngineConfig, OptLevel, SearchMode, SearchParams};
 use rtnn_data::uniform::{self, UniformParams};
 use rtnn_data::{Dataset, DatasetName};
@@ -51,9 +51,10 @@ fn full_optimisations_beat_noopt_on_a_dense_knn_workload() {
     let queries = points.clone();
     let params = SearchParams::knn(1.5, 16);
     let time_at = |opt: OptLevel| {
-        fresh_search(
+        fresh_search_at(
             &device,
-            EngineConfig::default().with_opt(opt),
+            EngineConfig::default(),
+            opt,
             params,
             &points,
             &queries,
@@ -75,9 +76,10 @@ fn partitioned_search_does_less_shader_work_than_global_search() {
     let queries: Vec<Vec3> = points.iter().step_by(2).copied().collect();
     let params = SearchParams::knn(2.0, 8);
     let run = |opt: OptLevel| {
-        fresh_search(
+        fresh_search_at(
             &device,
-            EngineConfig::default().with_opt(opt),
+            EngineConfig::default(),
+            opt,
             params,
             &points,
             &queries,
@@ -105,9 +107,10 @@ fn bundling_never_increases_total_time() {
     let queries: Vec<Vec3> = cloud.points.iter().step_by(3).copied().collect();
     let params = SearchParams::range(8.0, 32);
     let run = |opt: OptLevel| {
-        fresh_search(
+        fresh_search_at(
             &device,
-            EngineConfig::default().with_opt(opt),
+            EngineConfig::default(),
+            opt,
             params,
             &cloud.points,
             &queries,
@@ -138,18 +141,18 @@ fn shrunken_aabb_approximation_is_faster_and_never_reports_false_neighbors() {
     // so the search is effectively unbounded, but small enough that the
     // simulated result buffers still fit in device memory.
     let params = SearchParams::range(1.5, 2_000);
-    let exact = fresh_search(
+    let exact = fresh_search_at(
         &device,
-        EngineConfig::default().with_opt(OptLevel::Sched),
+        EngineConfig::default(),
+        OptLevel::Sched,
         params,
         &points,
         &queries,
     );
-    let approx = fresh_search(
+    let approx = fresh_search_at(
         &device,
-        EngineConfig::default()
-            .with_opt(OptLevel::Sched)
-            .with_approx(ApproxMode::ShrunkenAabb { factor: 0.5 }),
+        EngineConfig::default().with_approx(ApproxMode::ShrunkenAabb { factor: 0.5 }),
+        OptLevel::Sched,
         params,
         &points,
         &queries,

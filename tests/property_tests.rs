@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::fresh_search;
+use common::fresh_search_at;
 use proptest::prelude::*;
 use rtnn::verify::check_all;
 use rtnn::{
@@ -53,8 +53,8 @@ proptest! {
         let mode = if mode_is_knn { SearchMode::Knn } else { SearchMode::Range };
         let params = SearchParams { radius, k, mode };
         let opt = OptLevel::all()[opt_idx];
-        let config = EngineConfig::default().with_opt(opt);
-        let results = fresh_search(&device, config, params, &points, &queries);
+        let config = EngineConfig::default();
+        let results = fresh_search_at(&device, config, opt, params, &points, &queries);
         prop_assert_eq!(results.neighbors.len(), queries.len());
         if let Err((q, e)) = check_all(&points, &queries, &params, &results.neighbors) {
             return Err(TestCaseError::fail(format!("{mode:?} {opt:?} query {q}: {e}")));

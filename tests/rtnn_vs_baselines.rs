@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::fresh_search;
+use common::{fresh_search, fresh_search_at};
 use rtnn::verify::check_all;
 use rtnn::{EngineConfig, OptLevel, SearchMode, SearchParams};
 use rtnn_baselines::bruteforce::BruteForce;
@@ -50,8 +50,8 @@ fn rtnn_matches_oracle_on_every_dataset_family_and_opt_level() {
                 mode,
             };
             for opt in OptLevel::all() {
-                let config = EngineConfig::default().with_opt(opt);
-                let results = fresh_search(&device, config, params, &points, &queries);
+                let config = EngineConfig::default();
+                let results = fresh_search_at(&device, config, opt, params, &points, &queries);
                 check_all(&points, &queries, &params, &results.neighbors)
                     .unwrap_or_else(|(q, e)| panic!("{name}, {mode:?}, {opt:?}, query {q}: {e}"));
             }

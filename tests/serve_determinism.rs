@@ -11,12 +11,13 @@
 //! deterministic shard merge reproduces single-index results exactly (see
 //! `rtnn::ShardMerge`).
 
-use rtnn::{EngineConfig, GpusimBackend, Index, PlanSlice, QueryPlan};
+use rtnn::{EngineConfig, GpusimBackend, Index, PlanError, PlanSlice, QueryPlan, SearchError};
 use rtnn_data::uniform::{self, UniformParams};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
 use rtnn_serve::{
-    poisson_arrivals, run_virtual, QueryService, Request, ServeConfig, ShardedIndex, TickExecutor,
+    execute_tick, poisson_arrivals, run_virtual, QueryService, Request, ServeConfig, ShardedIndex,
+    TickExecutor,
 };
 
 fn scene() -> Vec<Vec3> {
@@ -188,4 +189,40 @@ fn virtual_time_replay_is_bit_deterministic() {
     let a = run(1);
     let b = run(4);
     assert_eq!(a, b, "virtual-time replay must not depend on host threads");
+}
+
+#[test]
+fn a_non_finite_request_fails_alone_in_a_fused_tick() {
+    let device = Device::rtx_2080();
+    let backend = GpusimBackend::new(&device);
+    let points = scene();
+    let good: Vec<Request> = requests(&points).into_iter().take(3).collect();
+    let mut bad = good[0].clone();
+    bad.queries[2] = Vec3::new(0.5, f32::NAN, 0.5);
+    let mut direct = Index::build(&backend, &points[..], EngineConfig::default());
+    let expected: Vec<_> = good
+        .iter()
+        .map(|r| Ok(direct.query(&r.queries, &r.plan).unwrap().neighbors))
+        .collect();
+    let non_finite = SearchError::InvalidPlan(PlanError::NonFiniteQuery { query: 2 });
+
+    let mut single = Index::build(&backend, &points[..], EngineConfig::default());
+    let mut sharded = ShardedIndex::build(&backend, &points, EngineConfig::default(), 3);
+    let tick = [&good[0], &bad, &good[1], &good[2]];
+    for (mut outcomes, summary) in [
+        execute_tick(&mut single, &tick),
+        execute_tick(&mut sharded, &tick),
+    ] {
+        assert_eq!(
+            summary.requests, 3,
+            "the bad request never joins the fused plan"
+        );
+        assert_eq!(outcomes.remove(1), Err(non_finite.clone()));
+        assert_eq!(outcomes, expected);
+    }
+    // Outside a tick, the sharded fan-out names the caller's query index.
+    assert_eq!(
+        sharded.query(&bad.queries, &bad.plan).unwrap_err(),
+        non_finite
+    );
 }

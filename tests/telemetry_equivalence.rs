@@ -20,27 +20,20 @@
 //!    results stay bit-equal per backend, and a breached SLO pins the
 //!    same exemplar trace on every run of the same schedule.
 
+mod common;
+
+use common::seeded_cloud;
 use rtnn::telemetry::{
     verify_jsonl_roundtrip, FlightRecorder, SignatureProfiler, SloConfig, SloEvent, Telemetry,
     TelemetryLevel,
 };
 use rtnn::{Backend, EngineConfig, GpusimBackend, Index, PlanSlice, QueryPlan};
 use rtnn_baselines::BruteForceBackend;
-use rtnn_data::uniform::{self, UniformParams};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
 use rtnn_serve::{
     poisson_arrivals, run_virtual, run_virtual_observed, run_virtual_recorded, Request, ServeConfig,
 };
-
-fn seeded_cloud(n: usize, seed: u64) -> Vec<Vec3> {
-    uniform::generate(&UniformParams {
-        num_points: n,
-        seed,
-        ..Default::default()
-    })
-    .points
-}
 
 const LEVELS: [TelemetryLevel; 3] = [
     TelemetryLevel::Off,
