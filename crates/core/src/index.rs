@@ -48,7 +48,7 @@ use crate::pipeline::{
     empty_results, host_ms_since, ExecutionPipeline, GatheredHits, OptLevel, PipelineTrace,
     StageKind, StageOverrides,
 };
-use crate::plan::{validate_queries, PlanError, PlanSlice, QueryPlan, SearchError};
+use crate::plan::{validate_queries, PlanError, QueryPlan, SearchError};
 use crate::result::{SearchParams, SearchResults, TimeBreakdown};
 use rtnn_bvh::BuildParams;
 use rtnn_gpusim::kernel::point_cloud_bytes;
@@ -173,6 +173,12 @@ impl<'a> AccelStore<'a> {
         self.entries[id].accel().as_ref()
     }
 
+    /// The entry id of the cached structure for `aabb_width`, if any.
+    fn find(&self, aabb_width: f32) -> Option<usize> {
+        let key = aabb_width.to_bits();
+        self.entries.iter().position(|e| e.aabb_width_bits() == key)
+    }
+
     /// Get the structure for `aabb_width`, building (and charging) it on a
     /// miss. Returns the entry id and the simulated build cost incurred by
     /// *this* call (0 on a hit — that is the amortisation the index
@@ -184,8 +190,7 @@ impl<'a> AccelStore<'a> {
         aabb_width: f32,
         build: BuildParams,
     ) -> Result<(usize, f64), SearchError> {
-        let key = aabb_width.to_bits();
-        if let Some(id) = self.entries.iter().position(|e| e.aabb_width_bits() == key) {
+        if let Some(id) = self.find(aabb_width) {
             return Ok((id, 0.0));
         }
         let accel = backend
@@ -196,30 +201,26 @@ impl<'a> AccelStore<'a> {
         Ok((self.entries.len() - 1, build_ms))
     }
 
-    /// Build every missing width in `aabb_widths` *concurrently* on the
-    /// worker pool (a `Backend` is `Sync`, so independent widths build in
-    /// parallel) and cache the results. Returns the total simulated build
-    /// cost incurred — 0 when every width was already cached. Duplicate
-    /// widths are deduplicated by bit pattern; entry order matches the
-    /// first occurrence of each missing width, so cache ids stay
-    /// deterministic regardless of thread count.
+    /// Get the structure for every width in `aabb_widths`, building the
+    /// missing ones *concurrently* on the worker pool (a `Backend` is
+    /// `Sync`, so independent widths build in parallel). Returns the entry
+    /// id of each requested width, in request order, and the total
+    /// simulated build cost incurred — 0 when every width was already
+    /// cached. Duplicate widths are deduplicated by bit pattern; entry
+    /// order matches the first occurrence of each missing width, so cache
+    /// ids stay deterministic regardless of thread count.
     pub(crate) fn ensure_many(
         &mut self,
         backend: &dyn Backend,
         points: &[Vec3],
         aabb_widths: &[f32],
         build: BuildParams,
-    ) -> Result<f64, SearchError> {
+    ) -> Result<(Vec<usize>, f64), SearchError> {
         let mut missing: Vec<f32> = Vec::new();
         for &w in aabb_widths {
-            let key = w.to_bits();
-            let cached = self.entries.iter().any(|e| e.aabb_width_bits() == key);
-            if !cached && !missing.iter().any(|m| m.to_bits() == key) {
+            if self.find(w).is_none() && !missing.iter().any(|m| m.to_bits() == w.to_bits()) {
                 missing.push(w);
             }
-        }
-        if missing.is_empty() {
-            return Ok(0.0);
         }
         let built = par_map_collect(missing.len(), |i| backend.build(points, missing[i], build));
         let mut total_ms = 0.0;
@@ -228,27 +229,12 @@ impl<'a> AccelStore<'a> {
             total_ms += accel.build_time_ms();
             self.entries.push(StoreEntry::Owned(accel));
         }
-        Ok(total_ms)
+        let ids = aabb_widths
+            .iter()
+            .map(|&w| self.find(w).expect("every width is cached above"))
+            .collect();
+        Ok((ids, total_ms))
     }
-}
-
-// ---------------------------------------------------------------------------
-// Shared execution core: the staged pipeline in `crate::pipeline`, driven
-// over this scene state.
-// ---------------------------------------------------------------------------
-
-/// Caller-maintained scene state handed to one execution.
-pub(crate) struct SceneRefs<'s> {
-    /// Structure-maintenance cost (refit/rebuild) to charge to the `BVH`
-    /// breakdown slot.
-    pub structure_ms: f64,
-    /// Prebuilt megacell grid over the current points.
-    pub grid: Option<&'s MegacellGrid>,
-    /// Bounds of grid cells whose population changed since the cache
-    /// entries were written.
-    pub dirty_region: Aabb,
-    /// Per-query megacell cache, updated in place.
-    pub cache: Option<&'s mut MegacellCache>,
 }
 
 // ---------------------------------------------------------------------------
@@ -444,29 +430,26 @@ impl<'a> Index<'a> {
         self.config.validate()?;
         let cfg = self.config;
         let plan = plan.normalized();
-        let plans: Vec<&QueryPlan> = match plan.as_ref() {
+        // Id-coverage checks wait for query time (warm has no queries).
+        match plan.as_ref() {
             QueryPlan::Batch(slices) if slices.is_empty() => {
                 return Err(PlanError::EmptyBatch.into())
             }
-            QueryPlan::Batch(slices) => slices.iter().map(|s| &s.plan).collect(),
-            single => vec![single],
-        };
+            QueryPlan::Batch(slices) => slices.iter().try_for_each(|s| s.plan.validate(0))?,
+            single => single.validate(0)?,
+        }
         // Warm-up provisions what the default (full) pipeline demands: the
-        // coherence schedule's widest structure, one structure per plan
+        // coherence schedule's widest structure, one structure per slice
         // width, and the megacell grid.
         let factor = cfg.approx.aabb_width_factor();
         let mut widths = vec![2.0 * plan.max_radius() * factor];
-        for single in plans {
-            // Id-coverage checks wait for query time (warm has no queries).
-            single.validate(0)?;
-            widths.push(2.0 * single.max_radius() * factor);
-        }
+        widths.extend(plan.slices(0).iter().map(|(p, _)| 2.0 * p.radius * factor));
         if self.points.is_empty() {
             return Ok(0.0);
         }
-        let built_ms = self
-            .store
-            .ensure_many(self.backend, &self.points, &widths, cfg.build)?;
+        let (_, built_ms) =
+            self.store
+                .ensure_many(self.backend, &self.points, &widths, cfg.build)?;
         grid_for(&mut self.grid, &self.points, cfg.grid_max_cells);
         self.pending_structure_ms += built_ms;
         Ok(built_ms)
@@ -478,8 +461,16 @@ impl<'a> Index<'a> {
     /// flattened, same-parameter slices merged) and then validated
     /// ([`PlanError`] names the offending field), and so are the queries
     /// ([`validate_queries`]: a NaN or infinite coordinate fails the call).
-    /// [`QueryPlan::Batch`] answers heterogeneous plans in one call,
-    /// sharing a single scheduling pass and every cached structure.
+    ///
+    /// Every plan runs through one driver as its `(params, query ids)`
+    /// slices ([`QueryPlan::slices`]): a `Knn` or `Range` plan is one slice
+    /// over every query, and a [`QueryPlan::Batch`] answers heterogeneous
+    /// plans in one call. Per call the driver bills transfers and any
+    /// pending structure cost ([`warm`](Self::warm),
+    /// [`charge_structure_ms`](Self::charge_structure_ms)), builds every
+    /// missing structure width concurrently, runs one `Schedule` pass over
+    /// every covered query, and then `Partition` → `Launch` → `Gather` per
+    /// slice, all sharing the cached structures and megacell grid.
     pub fn query(
         &mut self,
         queries: &[Vec3],
@@ -492,8 +483,9 @@ impl<'a> Index<'a> {
     /// disable individual pipeline stages for this one call (e.g.
     /// [`StageOverrides::without_reordering`], or
     /// [`StageOverrides::for_level`] for one rung of the paper's ladder).
-    /// A held tuner ([`Self::enable_auto`]) decides exactly the calls whose
-    /// `overrides` are empty. See the [`pipeline`](crate::pipeline) docs.
+    /// The overrides apply to every slice of the plan. A held tuner
+    /// ([`Self::enable_auto`]) decides exactly the calls whose `overrides`
+    /// are empty. See the [`pipeline`](crate::pipeline) docs.
     pub fn query_with(
         &mut self,
         queries: &[Vec3],
@@ -554,65 +546,24 @@ impl<'a> Index<'a> {
         result
     }
 
-    /// Run a validated, normalized plan through the pipeline under
-    /// `overrides`.
-    fn execute(
-        &mut self,
-        queries: &[Vec3],
-        plan: &QueryPlan,
-        overrides: StageOverrides<'_>,
-    ) -> Result<SearchResults, SearchError> {
-        let params = match plan {
-            QueryPlan::Batch(slices) => return self.query_batch(queries, slices, overrides),
-            single => single.params().expect("non-batch plan has params"),
-        };
-        let cfg = self.config;
-        let pipeline = ExecutionPipeline {
-            backend: self.backend,
-            config: &cfg,
-            overrides,
-        };
-        // The persistent grid is provisioned exactly when the *resolved*
-        // partition stage wants it — a per-call override can both skip the
-        // grid (partitioning disabled for this call) and build it.
-        let grid = if overrides.partition_stage().wants_grid() {
-            grid_for(&mut self.grid, &self.points, cfg.grid_max_cells)
-        } else {
-            None
-        };
-        // The adopted dirty region is applied on *every* query for the
-        // lifetime of this view (re-invalidating an entry that was already
-        // recomputed is wasted work, never wrong); the adopting owner
-        // decides when the invalidation has been durably absorbed and stops
-        // resupplying it.
-        // An adopted cache serves exactly the params it was grown under;
-        // other plans bypass it (reading its entries would be wrong, wiping
-        // them would cost the owner its warm state).
-        let cache_matches = self.cache_params.is_none_or(|cp| cp == params);
-        let scene = SceneRefs {
-            structure_ms: std::mem::take(&mut self.pending_structure_ms),
-            grid,
-            dirty_region: self.dirty_region,
-            cache: self.cache.as_deref_mut().filter(|_| cache_matches),
-        };
-        pipeline.execute(params, &self.points, queries, &mut self.store, scene)
-    }
-
-    /// The heterogeneous-batch path: one shared `Schedule` stage over every
+    /// The one execution driver: a validated, normalized plan runs as its
+    /// `(params, query ids)` slices under `overrides` — driver setup
+    /// (transfers, structures), one shared `Schedule` stage over every
     /// covered query (against the widest structure any slice needs), then
     /// the per-slice `Partition` → `Launch` → `Gather` stages, all hitting
     /// the same structure store and grid.
     ///
-    /// The per-query megacell *cache* is deliberately bypassed here: it is
-    /// keyed to a single `(radius, k)` pair, and a batch's slices carry
-    /// several — every slice grows its megacells fresh against the shared
-    /// grid. An adopted dirty region therefore need not be consumed by this
-    /// path; the adopting owner keeps resupplying it until a single-plan
-    /// query absorbs it into the cache.
-    fn query_batch(
+    /// An adopted megacell cache is keyed to one `(radius, k)` pair, so it
+    /// goes to the call, with the adopted dirty region, only when `plan` is
+    /// a single plan whose params match `cache_params` (reading its entries
+    /// under other params would be wrong, wiping them would cost the owner
+    /// its warm state). Batches and other plans grow their megacells fresh
+    /// against the shared grid; the adopting owner keeps resupplying the
+    /// dirty region until a matching call absorbs it into the cache.
+    fn execute(
         &mut self,
         queries: &[Vec3],
-        slices: &[PlanSlice],
+        plan: &QueryPlan,
         overrides: StageOverrides<'_>,
     ) -> Result<SearchResults, SearchError> {
         self.config.validate()?;
@@ -624,101 +575,79 @@ impl<'a> Index<'a> {
             config: &cfg,
             overrides,
         };
-        let slice_params: Vec<(SearchParams, &[u32])> = slices
-            .iter()
-            .map(|s| {
-                (
-                    s.plan.params().expect("validated non-batch slice"),
-                    s.query_ids.as_slice(),
-                )
-            })
-            .collect();
+        let mut slices = plan.slices(queries.len());
 
-        let max_k = slice_params.iter().map(|(p, _)| p.k).max().unwrap_or(1);
+        // Driver setup (not a stage): data transfer — points + queries in,
+        // result ids out.
+        let max_k = slices.iter().map(|(p, _)| p.k).max().unwrap_or(1);
         let footprint = point_cloud_bytes(self.points.len(), queries.len(), max_k);
         device.check_allocation(footprint)?;
-        let mut breakdown = TimeBreakdown::default();
-        let mut trace = PipelineTrace::default();
-        let result_bytes: u64 = slice_params
+        let result_bytes: u64 = slices
             .iter()
             .map(|(p, ids)| ids.len() as u64 * p.k as u64 * 4)
             .sum();
-        breakdown.data_ms = device.transfer_h2d_ms((self.points.len() + queries.len()) as u64 * 12)
-            + device.transfer_d2h_ms(result_bytes);
-        let tel = Telemetry::current();
-        let pending_structure_ms = std::mem::take(&mut self.pending_structure_ms);
-        breakdown.bvh_ms += pending_structure_ms;
-        if pending_structure_ms > 0.0 {
-            trace.charge(StageKind::Launch, pending_structure_ms, 0.0);
-            if let Some(t) = &tel {
-                t.span("accel.ensure")
-                    .attr("device_ms", pending_structure_ms);
-            }
-        }
+        let mut breakdown = TimeBreakdown {
+            data_ms: device.transfer_h2d_ms((self.points.len() + queries.len()) as u64 * 12)
+                + device.transfer_d2h_ms(result_bytes),
+            ..TimeBreakdown::default()
+        };
+        let mut trace = PipelineTrace::default();
+        slices.retain(|(_, ids)| !ids.is_empty());
+        let launches_nothing = slices.is_empty() || self.points.is_empty();
 
-        let covered: Vec<u32> = slice_params
+        // Structures, billed to the `BVH` slot and the Launch stage as one
+        // metered `accel.ensure`: the pending caller-side cost (billed even
+        // when nothing launches), then every width the call traverses — the
+        // widest shared scheduling structure (when the resolved stage
+        // traverses one; an identity schedule bills nothing, exactly like
+        // the `NoOpt` rung) plus one per slice, the missing ones built
+        // concurrently on the worker pool.
+        let factor = cfg.approx.aabb_width_factor();
+        let shared_width = overrides
+            .schedule_stage()
+            .needs_structure()
+            .then(|| 2.0 * plan.max_radius() * factor);
+        let mut widths: Vec<f32> = shared_width.into_iter().collect();
+        widths.extend(slices.iter().map(|(p, _)| 2.0 * p.radius * factor));
+        let tel = Telemetry::current();
+        let host = Instant::now();
+        let mut span = tel.as_ref().map(|t| t.span("accel.ensure"));
+        let pending_ms = std::mem::take(&mut self.pending_structure_ms);
+        let (ids, built_ms) = if launches_nothing {
+            (Vec::new(), 0.0)
+        } else {
+            self.store
+                .ensure_many(backend, &self.points, &widths, cfg.build)?
+        };
+        let structure_ms = pending_ms + built_ms;
+        breakdown.bvh_ms += structure_ms;
+        let host_ms = host_ms_since(host);
+        trace.charge(StageKind::Launch, structure_ms, host_ms);
+        if let Some(span) = span.as_mut() {
+            span.attr("device_ms", structure_ms)
+                .attr("primitives", self.points.len() as f64)
+                .attr("widths", widths.len() as f64)
+                .attr_wall("host_ms", host_ms);
+        }
+        drop(span);
+        if launches_nothing {
+            return Ok(empty_results(queries.len(), breakdown, trace));
+        }
+        let (shared, slice_structures) = match shared_width {
+            Some(_) => (Some(ids[0]), &ids[1..]),
+            None => (None, &ids[..]),
+        };
+
+        // Shared `Schedule` stage (Section 4, once per call): one order over
+        // every covered query, split back into per-slice orders (each
+        // slice's order is the scheduled order filtered to its ids —
+        // identical to sorting the slice by the shared keys).
+        let covered: Vec<u32> = slices
             .iter()
             .flat_map(|(_, ids)| ids.iter().copied())
             .collect();
-        if queries.is_empty() || self.points.is_empty() || covered.is_empty() {
-            return Ok(empty_results(queries.len(), breakdown, trace));
-        }
-
-        // Every structure the batch will traverse is known up front: the
-        // widest shared scheduling structure (when the resolved stage
-        // actually traverses one — an identity schedule bills nothing,
-        // exactly like the `NoOpt` rung) plus one width
-        // per populated slice. Build all missing widths *concurrently* on
-        // the worker pool in one shot; the per-stage `ensure` calls below
-        // then hit the warm cache and bill nothing.
-        let shared_width = overrides.schedule_stage().needs_structure().then(|| {
-            let max_r = slices
-                .iter()
-                .map(|s| s.plan.max_radius())
-                .fold(0.0, f32::max);
-            2.0 * max_r * cfg.approx.aabb_width_factor()
-        });
-        {
-            let mut widths: Vec<f32> = shared_width.into_iter().collect();
-            for (params, ids) in &slice_params {
-                if !ids.is_empty() {
-                    widths.push(2.0 * params.radius * cfg.approx.aabb_width_factor());
-                }
-            }
-            let host = Instant::now();
-            let mut ensure_span = tel.as_ref().map(|t| t.span("accel.ensure"));
-            let built_ms = self
-                .store
-                .ensure_many(backend, &self.points, &widths, cfg.build)?;
-            let host_ms = host_ms_since(host);
-            if built_ms > 0.0 {
-                breakdown.bvh_ms += built_ms;
-                trace.charge(StageKind::Launch, built_ms, host_ms);
-            }
-            if let Some(span) = ensure_span.as_mut() {
-                span.attr("device_ms", if built_ms > 0.0 { built_ms } else { 0.0 })
-                    .attr("widths", widths.len() as f64)
-                    .attr_wall("host_ms", host_ms);
-            }
-        }
-
-        // Shared `Schedule` stage (Section 4, once for the whole batch):
-        // one order over every covered query, split back into per-slice
-        // orders below (each slice's order is the scheduled order filtered
-        // to its ids — identical to sorting the slice by the shared keys).
-        let accel = match shared_width {
-            Some(width) => Some(pipeline.ensure_metered(
-                &mut self.store,
-                &self.points,
-                width,
-                0.0,
-                &mut breakdown,
-                &mut trace,
-            )?),
-            None => None,
-        };
         let schedule = pipeline.schedule_metered(
-            accel.map(|sid| self.store.accel_ref(sid)),
+            shared.map(|id| self.store.accel_ref(id)),
             &self.points,
             queries,
             &covered,
@@ -726,15 +655,13 @@ impl<'a> Index<'a> {
             &mut trace,
         );
         let fs_metrics = schedule.fs_metrics.clone();
-
-        // Split the shared order into per-slice orders.
         let mut slice_of: Vec<usize> = vec![usize::MAX; queries.len()];
-        for (si, (_, ids)) in slice_params.iter().enumerate() {
+        for (si, (_, ids)) in slices.iter().enumerate() {
             for &qid in ids.iter() {
                 slice_of[qid as usize] = si;
             }
         }
-        let mut orders: Vec<Vec<u32>> = slice_params
+        let mut orders: Vec<Vec<u32>> = slices
             .iter()
             .map(|(_, ids)| Vec::with_capacity(ids.len()))
             .collect();
@@ -743,39 +670,35 @@ impl<'a> Index<'a> {
         }
 
         // Per-slice `Partition` → `Launch` → `Gather` over the shared store
-        // and grid.
+        // and grid. The persistent grid is provisioned exactly when the
+        // *resolved* partition stage wants it — a per-call override can both
+        // skip the grid (partitioning disabled for this call) and build it.
+        let grid = if overrides.partition_stage().wants_grid() {
+            grid_for(&mut self.grid, &self.points, cfg.grid_max_cells)
+        } else {
+            None
+        };
+        let mut cache = match plan.params() {
+            Some(params) if self.cache_params.is_none_or(|cp| cp == params) => self
+                .cache
+                .as_deref_mut()
+                .map(|cache| (cache, self.dirty_region)),
+            _ => None,
+        };
         let mut gathered = GatheredHits::empty(queries.len());
         let mut search_metrics = LaunchMetrics::default();
         let mut num_partitions = 0;
         let mut num_bundles = 0;
-        for ((params, _), order) in slice_params.iter().zip(&orders) {
-            if order.is_empty() {
-                continue;
-            }
-            let full_width = 2.0 * params.radius * cfg.approx.aabb_width_factor();
-            let gid = pipeline.ensure_metered(
-                &mut self.store,
-                &self.points,
-                full_width,
-                0.0,
-                &mut breakdown,
-                &mut trace,
-            )?;
-            let grid = if overrides.partition_stage().wants_grid() {
-                grid_for(&mut self.grid, &self.points, cfg.grid_max_cells)
-            } else {
-                None
-            };
+        for (((params, _), order), &global) in slices.iter().zip(&orders).zip(slice_structures) {
             let (p, b) = pipeline.execute_ordered(
                 *params,
                 &self.points,
                 queries,
                 order,
                 &mut self.store,
-                gid,
+                global,
                 grid,
-                &Aabb::EMPTY,
-                None,
+                cache.take(),
                 &mut gathered,
                 &mut breakdown,
                 &mut search_metrics,
@@ -801,6 +724,7 @@ impl<'a> Index<'a> {
 mod tests {
     use super::*;
     use crate::backend::GpusimBackend;
+    use crate::plan::PlanSlice;
     use crate::verify::check_all;
     use rtnn_gpusim::Device;
 
@@ -1238,5 +1162,35 @@ mod tests {
             .unwrap();
         assert_eq!(no_points.neighbors.len(), 2);
         assert!(no_points.neighbors.iter().all(Vec::is_empty));
+
+        // A warm-up's structure cost is billed exactly once — by the next
+        // call, even when that call launches nothing — for single and batch
+        // plans alike. The real call runs unpartitioned, so every structure
+        // it traverses was warmed and it builds nothing of its own.
+        let points = grid_points(8, 1.0);
+        let knn = QueryPlan::knn(1.5, 4);
+        let n = points.len() as u32;
+        for batched in [false, true] {
+            let plan = |n: u32| match batched {
+                false => knn.clone(),
+                true => QueryPlan::Batch(vec![PlanSlice::new(knn.clone(), (0..n).collect())]),
+            };
+            let label = if batched { "batch" } else { "single" };
+            let mut index = Index::build(&backend, &points[..], EngineConfig::default());
+            let warm_ms = index.warm(&plan(n)).unwrap();
+            assert!(warm_ms > 0.0, "{label}: a cold warm-up builds structures");
+            let empty = index.query(&[], &plan(0)).unwrap();
+            let real = index
+                .query_with(&points, &plan(n), StageOverrides::without_partitioning())
+                .unwrap();
+            assert_eq!(
+                empty.breakdown.bvh_ms, warm_ms,
+                "{label}: the empty call bills it"
+            );
+            assert_eq!(
+                real.breakdown.bvh_ms, 0.0,
+                "{label}: the real call does not"
+            );
+        }
     }
 }

@@ -26,14 +26,21 @@
 //! read as "what exists": partitions are a property of the query set, the
 //! schedule a property of the launch.
 //!
-//! Every caller executes through this one entry point:
+//! There is one driver, [`Index::query`](crate::Index::query) (and
+//! `query_with`), and every plan runs through it as a list of
+//! `(SearchParams, query ids)` slices ([`QueryPlan::slices`]): a `Knn` or
+//! `Range` plan is one slice over every query, a
+//! [`QueryPlan::Batch`] one slice per sub-plan. Per call the driver bills
+//! transfers and structure builds, runs one shared `Schedule` pass over
+//! every covered query, then `Partition` → `Launch` → `Gather` per slice.
+//! Everything else executes through it:
 //!
-//! * [`Index::query`](crate::Index::query) (and the heterogeneous batch
-//!   path, which runs one shared `Schedule` pass and then the per-slice
-//!   stages);
 //! * `rtnn-dynamic`'s `DynamicIndex` frames (through `Index::adopt`);
-//! * `rtnn-serve`'s `ShardedIndex` (the pipeline per shard, then the shared
-//!   [`ShardMerge`](crate::ShardMerge) gather).
+//! * `rtnn-serve`'s `ShardedIndex` (a batch of its local slices per shard,
+//!   then the shared [`ShardMerge`](crate::ShardMerge) gather).
+//!
+//! [`QueryPlan::slices`]: crate::QueryPlan::slices
+//! [`QueryPlan::Batch`]: crate::QueryPlan::Batch
 //!
 //! ## Swapping stages
 //!
@@ -80,12 +87,11 @@ pub use stages::{
 pub use timing::{PipelineTrace, StageKind, StageTiming};
 
 use crate::backend::{AccelRef, Backend};
-use crate::index::{AccelStore, EngineConfig, SceneRefs};
+use crate::index::{AccelStore, EngineConfig};
 use crate::megacell::MegacellGrid;
 use crate::partition::MegacellCache;
 use crate::plan::SearchError;
 use crate::result::{SearchParams, SearchResults, TimeBreakdown};
-use rtnn_gpusim::kernel::point_cloud_bytes;
 use rtnn_math::{Aabb, Vec3};
 use rtnn_optix::LaunchMetrics;
 use rtnn_telemetry::Telemetry;
@@ -238,50 +244,18 @@ impl<'o> StageOverrides<'o> {
     }
 }
 
-/// The reusable execution core: a backend, an engine configuration and a
-/// set of stage selections. Constructed per call (it is two references and
-/// four optional references); a plan's parameters are executed through it.
-///
-/// All public entry points — `Index::query`, the dynamic frames, the
-/// sharded server — bottom out here.
-pub struct ExecutionPipeline<'r> {
+/// The stage runner the driver in [`Index`](crate::Index) uses: a backend,
+/// an engine configuration and a set of stage selections. Constructed per
+/// call (it is two references and four optional references).
+pub(crate) struct ExecutionPipeline<'r> {
     pub(crate) backend: &'r dyn Backend,
     pub(crate) config: &'r EngineConfig,
     pub(crate) overrides: StageOverrides<'r>,
 }
 
 impl<'r> ExecutionPipeline<'r> {
-    /// Get the structure for `width` (building and caching it on a miss)
-    /// and bill the build plus `extra_ms` of caller-side maintenance to the
-    /// `BVH` slot and the Launch stage — the metered `accel.ensure` every
-    /// driver path runs. Returns the store id.
-    pub(crate) fn ensure_metered(
-        &self,
-        store: &mut AccelStore<'_>,
-        points: &[Vec3],
-        width: f32,
-        extra_ms: f64,
-        breakdown: &mut TimeBreakdown,
-        trace: &mut PipelineTrace,
-    ) -> Result<usize, SearchError> {
-        let tel = Telemetry::current();
-        let host = Instant::now();
-        let mut span = tel.as_ref().map(|t| t.span("accel.ensure"));
-        let (id, built_ms) = store.ensure(self.backend, points, width, self.config.build)?;
-        let device_ms = built_ms + extra_ms;
-        breakdown.bvh_ms += device_ms;
-        let host_ms = host_ms_since(host);
-        trace.charge(StageKind::Launch, device_ms, host_ms);
-        if let Some(span) = span.as_mut() {
-            span.attr("device_ms", device_ms)
-                .attr("primitives", points.len() as f64)
-                .attr_wall("host_ms", host_ms);
-        }
-        Ok(id)
-    }
-
-    /// The metered `Schedule` stage over `ids`: every query of a single
-    /// plan, or every query a batch covers (one shared pass).
+    /// The metered `Schedule` stage over `ids`: every query a call covers,
+    /// in one shared pass.
     pub(crate) fn schedule_metered(
         &self,
         accel: Option<AccelRef<'_>>,
@@ -310,93 +284,11 @@ impl<'r> ExecutionPipeline<'r> {
         metered.expect("scheduling is infallible")
     }
 
-    /// Execute one single-plan search end to end: driver setup (transfer
-    /// accounting, global structure), then `Schedule` →
-    /// [`execute_ordered`](Self::execute_ordered). Bit-equal to the
-    /// historical monolithic `Index::query` for every optimisation level.
-    pub(crate) fn execute(
-        &self,
-        params: SearchParams,
-        points: &[Vec3],
-        queries: &[Vec3],
-        store: &mut AccelStore<'_>,
-        scene: SceneRefs<'_>,
-    ) -> Result<SearchResults, SearchError> {
-        params.validate()?;
-        self.config.validate()?;
-        let device = self.backend.device();
-
-        let mut breakdown = TimeBreakdown::default();
-        let mut search_metrics = LaunchMetrics::default();
-        let mut trace = PipelineTrace::default();
-
-        // Driver setup (not a stage): data transfer — points + queries in,
-        // result ids out.
-        let footprint = point_cloud_bytes(points.len(), queries.len(), params.k);
-        device.check_allocation(footprint)?;
-        breakdown.data_ms = device.transfer_h2d_ms((points.len() + queries.len()) as u64 * 12)
-            + device.transfer_d2h_ms(queries.len() as u64 * params.k as u64 * 4);
-
-        if queries.is_empty() || points.is_empty() {
-            return Ok(empty_results(queries.len(), breakdown, trace));
-        }
-        let mut gathered = GatheredHits::empty(queries.len());
-
-        // Global structure: traversed by the coherence pass and by every
-        // full-width partition. Structure availability (builds plus any
-        // caller-side maintenance) is billed to the Launch stage.
-        let full_width = 2.0 * params.radius * self.config.approx.aabb_width_factor();
-        let gid = self.ensure_metered(
-            store,
-            points,
-            full_width,
-            scene.structure_ms,
-            &mut breakdown,
-            &mut trace,
-        )?;
-        debug_assert_eq!(store.accel_ref(gid).num_primitives(), points.len());
-
-        let ids: Vec<u32> = (0..queries.len() as u32).collect();
-        let schedule = self.schedule_metered(
-            Some(store.accel_ref(gid)),
-            points,
-            queries,
-            &ids,
-            &mut breakdown,
-            &mut trace,
-        );
-        let fs_metrics = schedule.fs_metrics.clone();
-
-        let (num_partitions, num_bundles) = self.execute_ordered(
-            params,
-            points,
-            queries,
-            &schedule.order,
-            store,
-            gid,
-            scene.grid,
-            &scene.dirty_region,
-            scene.cache,
-            &mut gathered,
-            &mut breakdown,
-            &mut search_metrics,
-            &mut trace,
-        )?;
-
-        Ok(SearchResults {
-            neighbors: gathered.neighbors,
-            breakdown,
-            search_metrics,
-            fs_metrics,
-            num_partitions,
-            num_bundles,
-            trace,
-        })
-    }
-
-    /// Run the `Partition` → `Launch` → `Gather` stages for one already
-    /// scheduled query order (one plan, or one slice of a batch that shared
-    /// its `Schedule` pass). Returns `(num_partitions, num_bundles)`.
+    /// Run the `Partition` → `Launch` → `Gather` stages for one slice's
+    /// already scheduled query order. `cache` is an adopted per-query
+    /// megacell cache with the bounds of grid cells whose population
+    /// changed since its entries were written. Returns
+    /// `(num_partitions, num_bundles)`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn execute_ordered(
         &self,
@@ -407,13 +299,16 @@ impl<'r> ExecutionPipeline<'r> {
         store: &mut AccelStore<'_>,
         global: usize,
         grid: Option<&MegacellGrid>,
-        dirty_region: &Aabb,
-        cache: Option<&mut MegacellCache>,
+        cache: Option<(&mut MegacellCache, Aabb)>,
         out: &mut GatheredHits,
         breakdown: &mut TimeBreakdown,
         search_metrics: &mut LaunchMetrics,
         trace: &mut PipelineTrace,
     ) -> Result<(usize, usize), SearchError> {
+        let (cache, dirty_region) = match cache {
+            Some((cache, dirty_region)) => (Some(cache), dirty_region),
+            None => (None, Aabb::EMPTY),
+        };
         let parts = meter_stage(trace, StageKind::Partition, || {
             let parts = self.overrides.partition_stage().partition(PartitionCx {
                 backend: self.backend,
@@ -423,7 +318,7 @@ impl<'r> ExecutionPipeline<'r> {
                 queries,
                 order,
                 grid,
-                dirty_region,
+                dirty_region: &dirty_region,
                 cache,
             });
             breakdown.opt_ms += parts.opt_metrics.time_ms;

@@ -38,15 +38,16 @@ pub struct ScheduleCx<'r> {
     /// uses — what the first-hit pass traverses). The driver guarantees
     /// `Some` whenever the stage's
     /// [`needs_structure`](ScheduleStage::needs_structure) is true; a
-    /// stage that declared no need may be handed `None` (the batch path
-    /// skips building a structure no one will traverse).
+    /// stage that declared no need may be handed `None` (the driver skips
+    /// building a structure no one will traverse).
     pub accel: Option<AccelRef<'r>>,
     /// Search points.
     pub points: &'r [Vec3],
     /// All query positions (indexed by query id).
     pub queries: &'r [Vec3],
     /// The query ids this execution launches, in pre-schedule order (all of
-    /// `0..queries.len()` for a single plan; the covered ids of a batch).
+    /// `0..queries.len()` for a single plan; the covered ids of a batch,
+    /// slice after slice).
     pub query_ids: &'r [u32],
 }
 
@@ -61,8 +62,8 @@ pub trait ScheduleStage: Sync {
 
     /// Whether this stage traverses an acceleration structure
     /// ([`ScheduleCx::accel`]). Stages that only permute ids return
-    /// `false` so the batch driver does not build (and bill) a shared
-    /// coherence structure no one will traverse.
+    /// `false` so the driver does not build (and bill) a shared coherence
+    /// structure no one will traverse.
     fn needs_structure(&self) -> bool {
         true
     }

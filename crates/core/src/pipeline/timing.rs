@@ -94,8 +94,14 @@ pub struct StageTiming {
     pub device_ms: f64,
     /// Host wall-clock milliseconds spent inside the stage.
     pub host_ms: f64,
-    /// How many times the stage ran (a batch plan runs the per-slice stages
-    /// once per slice; a sharded execution once per overlapped shard).
+    /// How many times the stage was metered in one call. `Partition`,
+    /// `Launch` and `Gather` run once per non-empty plan slice (a `Knn` or
+    /// `Range` plan is one slice) and `Schedule` once per call; `Launch`
+    /// also counts the call's one structure-provisioning meter
+    /// (`accel.ensure`: pending structure cost plus missing-width builds),
+    /// so a single plan reports 2 `Launch` invocations and a call that
+    /// launches nothing reports 1. A sharded execution sums these over its
+    /// overlapped shards.
     pub invocations: u64,
 }
 

@@ -195,8 +195,44 @@ impl QueryPlan {
         }
     }
 
+    /// The plan as the `(params, query ids)` slices the execution driver
+    /// runs: a single plan is one slice over all `num_queries` query ids; a
+    /// batch yields its slices in order, a nested batch contributing its
+    /// own slices verbatim (ids are absolute, as in
+    /// [`normalized`](Self::normalized)). Slice ids are borrowed from the
+    /// plan.
+    ///
+    /// ```
+    /// use rtnn::{PlanSlice, QueryPlan, SearchParams};
+    ///
+    /// let knn = QueryPlan::knn(1.5, 8);
+    /// let single = knn.slices(3);
+    /// assert_eq!(single[0].0, SearchParams::knn(1.5, 8));
+    /// assert_eq!(single[0].1.as_ref(), &[0, 1, 2]);
+    /// let batch = QueryPlan::Batch(vec![PlanSlice::new(QueryPlan::range(1.0, 4), vec![2])]);
+    /// assert_eq!(batch.slices(3)[0].1.as_ref(), &[2]);
+    /// ```
+    pub fn slices(&self, num_queries: usize) -> Vec<(SearchParams, Cow<'_, [u32]>)> {
+        let QueryPlan::Batch(slices) = self else {
+            let all = (0..num_queries as u32).collect();
+            return self
+                .params()
+                .map(|p| (p, Cow::Owned(all)))
+                .into_iter()
+                .collect();
+        };
+        slices
+            .iter()
+            .flat_map(|s| match s.plan.params() {
+                Some(params) => vec![(params, Cow::Borrowed(s.query_ids.as_slice()))],
+                None => s.plan.slices(num_queries),
+            })
+            .collect()
+    }
+
     /// The largest radius any part of this plan searches (0 for an empty
-    /// batch). The batch path sizes its shared scheduling pass from this.
+    /// batch). The execution driver sizes its shared scheduling structure
+    /// from this, and [`Index::warm`](crate::Index::warm) pre-builds it.
     pub fn max_radius(&self) -> f32 {
         match self {
             QueryPlan::Knn { r, .. } | QueryPlan::Range { r, .. } => *r,
@@ -269,7 +305,12 @@ impl QueryPlan {
 
         // (params, query ids) in first-appearance order.
         let mut merged: Vec<(SearchParams, Vec<u32>)> = Vec::new();
-        collect_slices(slices, &mut merged);
+        for (params, ids) in self.slices(0) {
+            match merged.iter_mut().find(|(p, _)| *p == params) {
+                Some((_, existing)) => existing.extend_from_slice(&ids),
+                None => merged.push((params, ids.into_owned())),
+            }
+        }
         Cow::Owned(QueryPlan::Batch(
             merged
                 .into_iter()
@@ -353,24 +394,6 @@ pub fn validate_queries(queries: &[Vec3]) -> Result<(), PlanError> {
     match queries.iter().position(|q| !q.is_finite()) {
         Some(query) => Err(PlanError::NonFiniteQuery { query }),
         None => Ok(()),
-    }
-}
-
-/// Append every (transitively nested) slice of `slices` to `merged`,
-/// grouping by exact parameters (per-group deduplication happens in the
-/// caller once the groups are complete).
-fn collect_slices(slices: &[PlanSlice], merged: &mut Vec<(SearchParams, Vec<u32>)>) {
-    for slice in slices {
-        match &slice.plan {
-            QueryPlan::Batch(nested) => collect_slices(nested, merged),
-            single => {
-                let params = single.params().expect("non-batch plan has params");
-                match merged.iter_mut().find(|(p, _)| *p == params) {
-                    Some((_, existing)) => existing.extend_from_slice(&slice.query_ids),
-                    None => merged.push((params, slice.query_ids.clone())),
-                }
-            }
-        }
     }
 }
 

@@ -67,15 +67,27 @@ pub fn with_thread_count<R>(n: usize, f: impl FnOnce() -> R) -> R {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests that set or read the process-global thread
+    /// count: the test harness runs them concurrently, and one test's
+    /// `set_num_threads` would otherwise land between another's set and
+    /// read.
+    fn global_thread_count() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn default_is_at_least_one() {
+        let _global = global_thread_count();
         set_num_threads(0);
         assert!(current_num_threads() >= 1);
     }
 
     #[test]
     fn override_round_trips() {
+        let _global = global_thread_count();
         set_num_threads(3);
         assert_eq!(current_num_threads(), 3);
         set_num_threads(0);
@@ -84,6 +96,7 @@ mod tests {
 
     #[test]
     fn scoped_override_beats_the_global_and_restores() {
+        let _global = global_thread_count();
         let outside = current_num_threads();
         let inner = with_thread_count(2, || {
             let mid = current_num_threads();
@@ -98,6 +111,7 @@ mod tests {
 
     #[test]
     fn scoped_override_is_restored_on_panic() {
+        let _global = global_thread_count();
         let before = current_num_threads();
         let caught = std::panic::catch_unwind(|| {
             with_thread_count(7, || panic!("boom"));

@@ -99,12 +99,16 @@ struct ShardJob {
 /// [`query`](Self::query) contract, and results bit-equal to it under the
 /// [`ShardMerge`] conditions (no exact distance tie at the `k`-th KNN
 /// neighbor; range caps that do not truncate) — but executes each
-/// plan as a fan-out over N sub-indexes plus a deterministic merge: every
-/// overlapped shard runs the full execution pipeline
-/// ([`rtnn::pipeline`]) over its sub-index, and the per-shard launches are
-/// reassembled by the shared [`ShardMerge`] gather
-/// ([`ShardMerge::gather_query`]). Per-stage pipeline traces are summed
-/// across shards into the result's `trace`.
+/// plan as a fan-out over N sub-indexes plus a deterministic merge. The
+/// plan is viewed as its `(params, query ids)` slices
+/// ([`QueryPlan::slices`], the view [`Index::query`] executes), every
+/// query is routed to the shards its search sphere overlaps, and every
+/// overlapped shard answers its routed queries as one
+/// [`QueryPlan::Batch`] of local slices through its sub-index's execution
+/// driver ([`rtnn::pipeline`]). The per-shard launches are reassembled by
+/// the shared [`ShardMerge`] gather ([`ShardMerge::gather_query`]).
+/// Per-stage pipeline traces are summed across shards into the result's
+/// `trace`.
 pub struct ShardedIndex<'a> {
     shards: Vec<Shard<'a>>,
     merge: ShardMerge,
@@ -256,26 +260,7 @@ impl<'a> ShardedIndex<'a> {
             })
         });
 
-        // Uniform slice view: a single plan is one slice over every query.
-        let all_ids: Vec<u32>;
-        let slices: Vec<(SearchParams, &[u32])> = match plan.as_ref() {
-            QueryPlan::Batch(slices) => slices
-                .iter()
-                .map(|s| {
-                    (
-                        s.plan.params().expect("validated non-batch slice"),
-                        s.query_ids.as_slice(),
-                    )
-                })
-                .collect(),
-            single => {
-                all_ids = (0..queries.len() as u32).collect();
-                vec![(
-                    single.params().expect("non-batch plan has params"),
-                    all_ids.as_slice(),
-                )]
-            }
-        };
+        let slices = plan.slices(queries.len());
 
         // Route every covered query to the shards its search sphere
         // overlaps.
@@ -328,12 +313,7 @@ impl<'a> ShardedIndex<'a> {
                         ids,
                     ));
                 }
-                let local_plan = if local_slices.len() == 1 {
-                    let only = local_slices.pop().expect("one slice");
-                    only.plan
-                } else {
-                    QueryPlan::Batch(local_slices)
-                };
+                let local_plan = QueryPlan::Batch(local_slices);
                 Some(shard.index.query_with(&job.queries, &local_plan, overrides))
             })
         });

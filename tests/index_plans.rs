@@ -283,6 +283,28 @@ fn batch_results_match_single_plan_results_on_the_same_index() {
     }
     // The batch shares one scheduling pass over all covered queries.
     assert_eq!(combined.fs_metrics.active_rays, n as u64);
+
+    // A single plan is the one-slice batch over every query: on fresh
+    // indexes the two forms are bit-equal, results and simulated metrics,
+    // at every rung.
+    let every_id: Vec<u32> = (0..n).collect();
+    for plan in &plans[1..] {
+        let one_slice = QueryPlan::Batch(vec![PlanSlice::new(plan.clone(), every_id.clone())]);
+        for level in OptLevel::all() {
+            let run = |plan: &QueryPlan| {
+                let mut fresh = Index::build(&backend, &points[..], EngineConfig::default());
+                let results = fresh
+                    .query_with(&queries, plan, StageOverrides::for_level(level))
+                    .unwrap();
+                fingerprint(FNV_OFFSET, &results)
+            };
+            assert_eq!(
+                run(plan),
+                run(&one_slice),
+                "{plan:?} {level:?}: a single plan must equal its one-slice batch"
+            );
+        }
+    }
 }
 
 /// The `StageOverrides` ladder must be bit-equal to the `OptLevel` ladder:
