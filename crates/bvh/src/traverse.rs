@@ -2,25 +2,24 @@
 //!
 //! Traversal visits every node whose AABB intersects the ray (Conditions 1
 //! and 2 of the paper); at leaves, each primitive AABB is tested against the
-//! ray and, on a hit, the caller-supplied visitor — the IS shader in OptiX
-//! terms — is invoked with the primitive id. The visitor can terminate the
+//! ray and, on a hit, the caller-supplied callback — the IS shader in OptiX
+//! terms — is invoked with the primitive id. The callback can terminate the
 //! ray (the AH shader's `optixTerminateRay`, used by RTNN when `K`
 //! neighbors have been found).
 //!
-//! Two entry points:
-//!
-//! * [`Bvh::traverse`] — counts work (node visits, primitive tests) without
-//!   recording which nodes were touched; used by correctness tests and CPU
-//!   oracles.
-//! * [`Bvh::traverse_traced`] — additionally appends the indices of visited
-//!   nodes and scanned primitive slots to a [`TraversalTrace`]; the GPU
-//!   simulator replays those as memory accesses for cache and divergence
-//!   modelling.
+//! There is one traversal core, [`Bvh::traverse_with`]. Besides the hit
+//! callback it takes a caller-owned stack, so a caller tracing many rays
+//! allocates none per ray, and a [`TraversalVisitor`] that is told every
+//! node index the ray tests and every leaf slot it scans, in visit order.
+//! The GPU simulator's visitor marks those ids into the warp's memory
+//! footprint as the ray goes. [`Bvh::traverse`] is the core with its own
+//! stack and no visitor: it counts work (node visits, primitive tests)
+//! for correctness tests and CPU oracles.
 
 use crate::node::{Bvh, NodeKind};
 use rtnn_math::Ray;
 
-/// Visitor verdict after a primitive hit (the IS/AH shader return).
+/// Hit-callback verdict after a primitive hit (the IS/AH shader return).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraversalControl {
     /// Keep traversing.
@@ -40,7 +39,7 @@ pub struct TraversalStats {
     pub prim_tests: u64,
     /// Primitive AABB tests that hit, i.e. IS shader invocations.
     pub is_calls: u64,
-    /// Whether the visitor terminated the ray early.
+    /// Whether the hit callback terminated the ray early.
     pub terminated: bool,
 }
 
@@ -55,73 +54,58 @@ impl TraversalStats {
     }
 }
 
-/// The memory-touch trace of one ray: which node slots and primitive slots
-/// it read, in order. Slot indices (not byte addresses) are recorded; the
-/// simulator maps them onto its address space.
-#[derive(Debug, Clone, Default)]
-pub struct TraversalTrace {
-    /// Indices into `Bvh::nodes`, in visit order.
-    pub node_visits: Vec<u32>,
-    /// Indices into `Bvh::prim_indices` (leaf slots), in test order.
-    pub prim_visits: Vec<u32>,
+/// Observer of the memory one traversal reads. Indices (not byte
+/// addresses) are reported; the simulator maps them onto its address
+/// space. `()` observes nothing.
+pub trait TraversalVisitor {
+    /// The ray tested the AABB of `Bvh::nodes[index]`.
+    fn node(&mut self, index: u32);
+    /// The ray tested the primitive in leaf slot `slot`, an index into
+    /// `Bvh::prim_indices`.
+    fn slot(&mut self, slot: u32);
 }
 
-impl TraversalTrace {
-    /// Clear the trace for reuse.
-    pub fn clear(&mut self) {
-        self.node_visits.clear();
-        self.prim_visits.clear();
-    }
+impl TraversalVisitor for () {
+    #[inline]
+    fn node(&mut self, _: u32) {}
+    #[inline]
+    fn slot(&mut self, _: u32) {}
 }
 
 impl Bvh {
     /// Traverse the BVH with `ray`, invoking `on_hit(prim_id)` for every
     /// primitive whose AABB the ray intersects. Returns work counters.
-    pub fn traverse<F>(&self, ray: &Ray, mut on_hit: F) -> TraversalStats
+    pub fn traverse<F>(&self, ray: &Ray, on_hit: F) -> TraversalStats
     where
         F: FnMut(u32) -> TraversalControl,
     {
-        self.traverse_impl(ray, &mut on_hit, None)
+        self.traverse_with(ray, &mut Vec::with_capacity(64), &mut (), on_hit)
     }
 
-    /// As [`Bvh::traverse`], additionally recording the visited node /
-    /// primitive slots into `trace` (which is cleared first).
-    pub fn traverse_traced<F>(
+    /// The traversal core: as [`Bvh::traverse`], on the caller's `stack`
+    /// (cleared first; its capacity is kept), telling `visitor` every node
+    /// index tested and every leaf slot scanned, in visit order.
+    pub fn traverse_with<V, F>(
         &self,
         ray: &Ray,
-        trace: &mut TraversalTrace,
+        stack: &mut Vec<u32>,
+        visitor: &mut V,
         mut on_hit: F,
     ) -> TraversalStats
     where
-        F: FnMut(u32) -> TraversalControl,
-    {
-        trace.clear();
-        self.traverse_impl(ray, &mut on_hit, Some(trace))
-    }
-
-    fn traverse_impl<F>(
-        &self,
-        ray: &Ray,
-        on_hit: &mut F,
-        mut trace: Option<&mut TraversalTrace>,
-    ) -> TraversalStats
-    where
+        V: TraversalVisitor + ?Sized,
         F: FnMut(u32) -> TraversalControl,
     {
         let mut stats = TraversalStats::default();
+        stack.clear();
         if self.nodes.is_empty() {
             return stats;
         }
-        // Explicit stack; depth is bounded by tree depth which is O(log n)
-        // for our builders, but size generously to cope with skewed trees.
-        let mut stack: Vec<u32> = Vec::with_capacity(64);
         stack.push(0);
         'rays: while let Some(node_idx) = stack.pop() {
             let node = &self.nodes[node_idx as usize];
             stats.nodes_visited += 1;
-            if let Some(t) = trace.as_deref_mut() {
-                t.node_visits.push(node_idx);
-            }
+            visitor.node(node_idx);
             if !node.aabb.intersects_ray(ray) {
                 continue;
             }
@@ -135,9 +119,7 @@ impl Bvh {
                     for slot in start..start + count {
                         let prim_id = self.prim_indices[slot as usize];
                         stats.prim_tests += 1;
-                        if let Some(t) = trace.as_deref_mut() {
-                            t.prim_visits.push(slot);
-                        }
+                        visitor.slot(slot);
                         if self.prim_aabbs[prim_id as usize].intersects_ray(ray) {
                             stats.is_calls += 1;
                             if on_hit(prim_id) == TraversalControl::Terminate {
@@ -245,26 +227,48 @@ mod tests {
         assert!(!stats.terminated);
     }
 
+    /// Records every index a traversal reports, in order.
+    #[derive(Default)]
+    struct Recorder {
+        nodes: Vec<u32>,
+        slots: Vec<u32>,
+    }
+
+    impl TraversalVisitor for Recorder {
+        fn node(&mut self, index: u32) {
+            self.nodes.push(index);
+        }
+        fn slot(&mut self, slot: u32) {
+            self.slots.push(slot);
+        }
+    }
+
     #[test]
-    fn trace_records_every_visited_node() {
+    fn visitor_records_every_visited_node() {
         let points = sample_points();
         let bvh = build_point_bvh(&points, 0.7, BuildParams::default());
-        let mut trace = TraversalTrace::default();
-        let stats = bvh.traverse_traced(
-            &Ray::point_probe(Vec3::new(2.5, 2.5, 2.5)),
-            &mut trace,
-            |_| TraversalControl::Continue,
-        );
-        assert_eq!(trace.node_visits.len() as u64, stats.nodes_visited);
-        assert_eq!(trace.prim_visits.len() as u64, stats.prim_tests);
-        assert_eq!(trace.node_visits[0], 0, "traversal starts at the root");
-        // Reusing the trace clears previous contents.
-        let stats2 = bvh.traverse_traced(
+        let probe = Ray::point_probe(Vec3::new(2.5, 2.5, 2.5));
+        let mut stack = Vec::new();
+        let mut rec = Recorder::default();
+        let stats = bvh.traverse_with(&probe, &mut stack, &mut rec, |_| TraversalControl::Continue);
+        assert_eq!(rec.nodes.len() as u64, stats.nodes_visited);
+        assert_eq!(rec.slots.len() as u64, stats.prim_tests);
+        assert_eq!(rec.nodes[0], 0, "traversal starts at the root");
+        // Observing the traversal does not change it.
+        assert_eq!(stats, bvh.traverse(&probe, |_| TraversalControl::Continue));
+        // A ray terminated at its first hit leaves unvisited siblings on the
+        // stack; reusing that stack starts from the root regardless.
+        bvh.traverse_with(&probe, &mut stack, &mut (), |_| TraversalControl::Terminate);
+        assert!(!stack.is_empty());
+        let mut rec2 = Recorder::default();
+        let stats2 = bvh.traverse_with(
             &Ray::point_probe(Vec3::new(-10.0, 0.0, 0.0)),
-            &mut trace,
+            &mut stack,
+            &mut rec2,
             |_| TraversalControl::Continue,
         );
-        assert_eq!(trace.node_visits.len() as u64, stats2.nodes_visited);
+        assert_eq!(rec2.nodes.len() as u64, stats2.nodes_visited);
+        assert_eq!(rec2.nodes, [0]);
         assert_eq!(stats2.is_calls, 0);
     }
 
@@ -309,11 +313,12 @@ mod tests {
         let points = sample_points();
         let bvh = build_point_bvh(&points, 0.9, BuildParams::default());
         let trace_of = |q: Vec3| {
-            let mut t = TraversalTrace::default();
-            bvh.traverse_traced(&Ray::point_probe(q), &mut t, |_| TraversalControl::Continue);
-            t.node_visits
-                .iter()
-                .copied()
+            let mut rec = Recorder::default();
+            bvh.traverse_with(&Ray::point_probe(q), &mut Vec::new(), &mut rec, |_| {
+                TraversalControl::Continue
+            });
+            rec.nodes
+                .into_iter()
                 .collect::<std::collections::HashSet<_>>()
         };
         let a = trace_of(Vec3::new(1.0, 1.0, 1.0));

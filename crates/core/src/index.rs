@@ -293,6 +293,10 @@ pub struct Index<'a> {
     cache_params: Option<SearchParams>,
     dirty_region: Aabb,
     pending_structure_ms: f64,
+    /// The first point with a NaN or infinite coordinate, found once at
+    /// build: while there is one, every query and warm-up fails with
+    /// [`PlanError::NonFinitePoint`].
+    non_finite_point: Option<usize>,
     /// Installed by [`Index::enable_auto`] or [`Index::set_tuner`]; while
     /// present, every call without explicit overrides is tuned.
     tuner: Option<AutoTuner>,
@@ -304,16 +308,19 @@ impl<'a> Index<'a> {
     /// Build an index over `points` on `backend`. Structures are built
     /// lazily — each AABB width the plans demand is built on first use and
     /// cached — so construction is cheap; validation happens at
-    /// [`query`](Self::query) time.
+    /// [`query`](Self::query) time. The points are scanned once here for
+    /// non-finite coordinates, which every later call then reports.
     pub fn build(
         backend: &'a dyn Backend,
         points: impl Into<Cow<'a, [Vec3]>>,
         config: EngineConfig,
     ) -> Self {
+        let points = points.into();
         Index {
             backend,
             config,
-            points: points.into(),
+            non_finite_point: points.iter().position(|p| !p.is_finite()),
+            points,
             store: AccelStore::new(),
             grid: GridSlot::Unbuilt,
             cache: None,
@@ -417,6 +424,15 @@ impl<'a> Index<'a> {
         self.last_decision
     }
 
+    /// Fail with [`PlanError::NonFinitePoint`] if an indexed point has a
+    /// NaN or infinite coordinate.
+    fn validate_points(&self) -> Result<(), PlanError> {
+        match self.non_finite_point {
+            Some(point) => Err(PlanError::NonFinitePoint { point }),
+            None => Ok(()),
+        }
+    }
+
     /// Pre-build every structure (and the megacell grid) that `plan` would
     /// demand, without running any queries — the cold-start path a serving
     /// layer runs before the first request lands. Distinct AABB widths
@@ -438,6 +454,7 @@ impl<'a> Index<'a> {
             QueryPlan::Batch(slices) => slices.iter().try_for_each(|s| s.plan.validate(0))?,
             single => single.validate(0)?,
         }
+        self.validate_points()?;
         // Warm-up provisions what the default (full) pipeline demands: the
         // coherence schedule's widest structure, one structure per slice
         // width, and the megacell grid.
@@ -460,7 +477,9 @@ impl<'a> Index<'a> {
     /// The plan is normalized ([`QueryPlan::normalized`]: nested batches
     /// flattened, same-parameter slices merged) and then validated
     /// ([`PlanError`] names the offending field), and so are the queries
-    /// ([`validate_queries`]: a NaN or infinite coordinate fails the call).
+    /// ([`validate_queries`]: a NaN or infinite coordinate fails the call),
+    /// and so does an index holding a non-finite point
+    /// ([`PlanError::NonFinitePoint`]).
     ///
     /// Every plan runs through one driver as its `(params, query ids)`
     /// slices ([`QueryPlan::slices`]): a `Knn` or `Range` plan is one slice
@@ -499,6 +518,7 @@ impl<'a> Index<'a> {
         let plan = plan.normalized();
         plan.validate(queries.len())?;
         validate_queries(queries)?;
+        self.validate_points()?;
         let kind = plan.as_ref().kind_label();
         let tel = Telemetry::current();
         let mut query_span = tel.as_ref().map(|t| {

@@ -480,6 +480,12 @@ pub enum PlanError {
         /// Index of the first offending query in the query array.
         query: usize,
     },
+    /// An indexed point has a NaN or infinite coordinate: the scene has no
+    /// finite bounds to grid, so no query against it is answered.
+    NonFinitePoint {
+        /// Index of the first offending point in the caller's point array.
+        point: usize,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -520,6 +526,9 @@ impl std::fmt::Display for PlanError {
             ),
             PlanError::NonFiniteQuery { query } => {
                 write!(f, "queries[{query}]: coordinates must be finite")
+            }
+            PlanError::NonFinitePoint { point } => {
+                write!(f, "points[{point}]: coordinates must be finite")
             }
         }
     }

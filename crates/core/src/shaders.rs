@@ -21,6 +21,12 @@ use rtnn_optix::{IsVerdict, RayProgram};
 /// Sentinel for "no first hit found".
 pub const NO_HIT: u32 = u32::MAX;
 
+/// Most neighbor slots a payload reserves up front: enough for common
+/// `K`/`cap` values to never regrow, bounded so `K ≥ n` or an uncapped
+/// range search does not reserve memory per ray for neighbors it will not
+/// find.
+const PAYLOAD_RESERVE_MAX: usize = 64;
+
 /// Maps launch indices to query ids: either the identity (launch `i` is
 /// query `i`) or an explicit permutation / subset (scheduled order,
 /// per-partition query lists).
@@ -82,7 +88,8 @@ impl<'a> RayProgram for RangeProgram<'a> {
 
     fn ray_gen(&self, launch_index: u32) -> Option<(Ray, RangePayload)> {
         let q = self.queries[self.indexing.query_id(launch_index) as usize];
-        Some((Ray::point_probe(q), Vec::new()))
+        let payload = Vec::with_capacity(self.k.min(PAYLOAD_RESERVE_MAX));
+        Some((Ray::point_probe(q), payload))
     }
 
     fn intersection(
@@ -208,7 +215,10 @@ impl<'a> RayProgram for KnnProgram<'a> {
 
     fn ray_gen(&self, launch_index: u32) -> Option<(Ray, KnnHeap)> {
         let q = self.queries[self.indexing.query_id(launch_index) as usize];
-        Some((Ray::point_probe(q), KnnHeap::default()))
+        let heap = KnnHeap {
+            entries: Vec::with_capacity(self.k.min(PAYLOAD_RESERVE_MAX)),
+        };
+        Some((Ray::point_probe(q), heap))
     }
 
     fn intersection(&self, launch_index: u32, prim_id: u32, payload: &mut KnnHeap) -> IsVerdict {

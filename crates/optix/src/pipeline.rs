@@ -8,15 +8,25 @@
 //! queries diverge. The query-scheduling optimisation exists precisely to
 //! exploit this grouping, and the simulator reproduces it: a warp's RT-core
 //! time is driven by the *union* of the BVH nodes its rays visit, its
-//! shader time by its slowest lane, and its memory traffic by the distinct
-//! cache lines it touches.
+//! shader time by the IS calls of all its lanes, and its memory traffic by
+//! the distinct cache lines it touches.
+//!
+//! The union is built while the rays traverse: the warp's `Footprint` is
+//! the traversal visitor, and it appends each node index and leaf slot to
+//! the warp's distinct lists the first time a membership bit for it is set.
+//! Charging then needs only the list sizes and the addresses of the listed
+//! ids, with no sort. Each host thread keeps its bits (one per node and
+//! per slot), the traversal stack and the address buffer for every warp it
+//! simulates, and clears only the bits its last warp set, so the accounting
+//! allocates nothing per ray or per warp.
 
 use crate::gas::{Gas, NODE_BYTES, PRIM_BYTES};
 use crate::shader::{IsVerdict, RayProgram};
-use rtnn_bvh::{TraversalControl, TraversalTrace};
+use rtnn_bvh::{Bvh, TraversalControl, TraversalVisitor};
 use rtnn_gpusim::kernel::{BVH_NODES_BASE, BVH_PRIMS_BASE};
 use rtnn_gpusim::{Device, IsShaderKind, KernelMetrics};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 
 /// Aggregate counters for one launch, merging device metrics with the
 /// ray-tracing-specific counters the paper's figures plot.
@@ -67,6 +77,80 @@ pub struct LaunchResult<P> {
     pub metrics: LaunchMetrics,
 }
 
+/// A warp's memory footprint: the distinct BVH node indices and primitive
+/// slots its rays read, in first-visit order, with one membership bit per
+/// node and per slot. Only the bits of the listed ids are ever set, so
+/// clearing costs the footprint's size, not the BVH's.
+#[derive(Debug, Default)]
+struct Footprint {
+    node_bits: Vec<u64>,
+    slot_bits: Vec<u64>,
+    nodes: Vec<u32>,
+    slots: Vec<u32>,
+}
+
+impl Footprint {
+    /// Make room for one bit per node and per slot of `bvh`.
+    fn fit(&mut self, bvh: &Bvh) {
+        let words = |n: usize| n.div_ceil(64);
+        if self.node_bits.len() < words(bvh.nodes.len()) {
+            self.node_bits.resize(words(bvh.nodes.len()), 0);
+        }
+        if self.slot_bits.len() < words(bvh.prim_indices.len()) {
+            self.slot_bits.resize(words(bvh.prim_indices.len()), 0);
+        }
+    }
+
+    /// Empty the footprint for the next warp.
+    fn clear(&mut self) {
+        for (bits, ids) in [
+            (&mut self.node_bits, &mut self.nodes),
+            (&mut self.slot_bits, &mut self.slots),
+        ] {
+            for &id in ids.iter() {
+                bits[id as usize / 64] = 0;
+            }
+            ids.clear();
+        }
+    }
+}
+
+/// Add `id` to `ids` unless its bit is already set.
+#[inline]
+fn mark(bits: &mut [u64], ids: &mut Vec<u32>, id: u32) {
+    let word = &mut bits[id as usize / 64];
+    let bit = 1u64 << (id % 64);
+    if *word & bit == 0 {
+        *word |= bit;
+        ids.push(id);
+    }
+}
+
+impl TraversalVisitor for Footprint {
+    #[inline]
+    fn node(&mut self, index: u32) {
+        mark(&mut self.node_bits, &mut self.nodes, index);
+    }
+
+    #[inline]
+    fn slot(&mut self, slot: u32) {
+        mark(&mut self.slot_bits, &mut self.slots, slot);
+    }
+}
+
+/// Per-worker buffers of the launch path, reused across rays, warps and
+/// launches: the traversal stack, the warp footprint and its addresses.
+#[derive(Debug, Default)]
+struct WarpScratch {
+    stack: Vec<u32>,
+    footprint: Footprint,
+    addresses: Vec<u64>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<WarpScratch> = Cell::default();
+}
+
 /// A ray-casting pipeline bound to a device.
 #[derive(Debug, Clone)]
 pub struct Pipeline<'d> {
@@ -112,32 +196,35 @@ impl<'d> Pipeline<'d> {
         }
 
         let (outputs, kernel) = self.device.run_warps(num_rays, |range, shard| {
+            // Taken for the warp and put back after it, so a program that
+            // re-enters `launch` from a shader starts from fresh scratch.
+            let mut scratch = SCRATCH.with(Cell::take);
+            let WarpScratch {
+                stack,
+                footprint,
+                addresses,
+            } = &mut scratch;
+            footprint.fit(bvh);
             let mut warp_results: Vec<RayOutput<P::Payload>> = Vec::with_capacity(range.len());
-            let mut trace = TraversalTrace::default();
-            // Warp-level aggregation buffers.
-            let mut union_nodes: Vec<u32> = Vec::new();
-            let mut union_prims: Vec<u32> = Vec::new();
-            let mut addresses: Vec<u64> = Vec::new();
             let mut sum_lane_nodes = 0u64;
             let mut sum_lane_is = 0u64;
-            let mut max_lane_prim_tests = 0u64;
 
             for launch_index in range.clone() {
                 let mut out = RayOutput::<P::Payload>::default();
                 if let Some((ray, mut payload)) = program.ray_gen(launch_index as u32) {
                     out.active = true;
                     let mut hit_any = false;
-                    let stats = bvh.traverse_traced(&ray, &mut trace, |prim_id| {
-                        match program.intersection(launch_index as u32, prim_id, &mut payload) {
-                            IsVerdict::Ignore => TraversalControl::Continue,
-                            IsVerdict::Accept => {
-                                hit_any = true;
-                                TraversalControl::Continue
-                            }
-                            IsVerdict::AcceptAndTerminate => {
-                                hit_any = true;
-                                TraversalControl::Terminate
-                            }
+                    let stats = bvh.traverse_with(&ray, stack, footprint, |prim_id| match program
+                        .intersection(launch_index as u32, prim_id, &mut payload)
+                    {
+                        IsVerdict::Ignore => TraversalControl::Continue,
+                        IsVerdict::Accept => {
+                            hit_any = true;
+                            TraversalControl::Continue
+                        }
+                        IsVerdict::AcceptAndTerminate => {
+                            hit_any = true;
+                            TraversalControl::Terminate
                         }
                     });
                     if hit_any {
@@ -154,24 +241,19 @@ impl<'d> Pipeline<'d> {
 
                     sum_lane_nodes += stats.nodes_visited;
                     sum_lane_is += stats.is_calls;
-                    max_lane_prim_tests = max_lane_prim_tests.max(stats.prim_tests);
-                    union_nodes.extend_from_slice(&trace.node_visits);
-                    union_prims.extend_from_slice(&trace.prim_visits);
                 }
                 warp_results.push(out);
             }
 
-            // Deduplicate the warp's footprint: traversal of a node shared by
-            // several rays in the warp is broadcast, so it is charged once.
-            union_nodes.sort_unstable();
-            union_nodes.dedup();
-            union_prims.sort_unstable();
-            union_prims.dedup();
+            // The warp's footprint holds each node and primitive slot once:
+            // traversal of a node shared by several rays in the warp is
+            // broadcast, so it is charged once.
+            let (union_nodes, union_prims) = (footprint.nodes.len(), footprint.slots.len());
 
             // RT-core work: one node test per distinct node, one AABB test per
             // distinct primitive slot the warp scanned.
-            shard.charge_rt_node_tests(union_nodes.len() as f64);
-            shard.charge_rt_prim_tests(union_prims.len() as f64);
+            shard.charge_rt_node_tests(union_nodes as f64);
+            shard.charge_rt_prim_tests(union_prims as f64);
             // SM shader work: IS invocations interrupt hardware traversal at
             // lane-specific points, so they are only partially SIMT-parallel;
             // every lane's IS calls are charged, packed `is_simt_width` wide.
@@ -179,23 +261,29 @@ impl<'d> Pipeline<'d> {
             shard.charge_is_calls(sum_lane_is as f64 / is_width, is_kind);
 
             // Memory traffic: BVH nodes and primitive records the warp read.
+            // Their order does not matter: the shard coalesces them into
+            // sorted distinct cache lines.
             addresses.clear();
             addresses.extend(
-                union_nodes
+                footprint
+                    .nodes
                     .iter()
                     .map(|&n| BVH_NODES_BASE + n as u64 * NODE_BYTES),
             );
             addresses.extend(
-                union_prims
+                footprint
+                    .slots
                     .iter()
                     .map(|&p| BVH_PRIMS_BASE + p as u64 * PRIM_BYTES),
             );
-            shard.access_warp_memory(&addresses);
+            shard.access_warp_memory(addresses);
 
             // SIMT efficiency: useful lane-work over issued warp-work.
-            let issued = (union_nodes.len() as f64).max(1e-9) * warp_size;
+            let issued = (union_nodes as f64).max(1e-9) * warp_size;
             shard.note_simt_work(sum_lane_nodes as f64, issued);
 
+            footprint.clear();
+            SCRATCH.with(|cell| cell.set(scratch));
             warp_results
         });
 
@@ -431,5 +519,95 @@ mod tests {
         // cache-friendly.
         assert!(ordered.kernel.time_ms <= shuffled.kernel.time_ms);
         assert!(ordered.kernel.simt_efficiency >= shuffled.kernel.simt_efficiency);
+    }
+
+    /// A range program whose IS shader, when `inner` is set, first runs a
+    /// whole launch of another program against another structure and
+    /// checks it against that launch run on its own: a shader re-entering
+    /// `launch` from inside a warp.
+    struct NestingProgram<'a> {
+        outer: RangeProgram,
+        inner: Option<(&'a Gas, &'a RangeProgram, &'a LaunchResult<Vec<u32>>)>,
+        device: &'a Device,
+    }
+
+    impl RayProgram for NestingProgram<'_> {
+        type Payload = Vec<u32>;
+        fn ray_gen(&self, launch_index: u32) -> Option<(Ray, Vec<u32>)> {
+            self.outer.ray_gen(launch_index)
+        }
+        fn intersection(
+            &self,
+            launch_index: u32,
+            prim_id: u32,
+            payload: &mut Vec<u32>,
+        ) -> IsVerdict {
+            if let Some((gas, program, alone)) = self.inner {
+                let nested = Pipeline::new(self.device).launch(
+                    gas,
+                    program.queries.len(),
+                    program,
+                    IsShaderKind::RangeSphereTest,
+                );
+                assert_eq!(nested.metrics, alone.metrics);
+                assert_eq!(nested.payloads, alone.payloads);
+            }
+            self.outer.intersection(launch_index, prim_id, payload)
+        }
+    }
+
+    #[test]
+    fn a_launch_from_inside_a_shader_leaves_the_outer_launch_unchanged() {
+        let device = Device::rtx_2080();
+        let points = cloud();
+        let radius = 1.1;
+        let gas = Gas::build_from_points(&device, &points, radius, BuildParams::default()).unwrap();
+        // The inner structure is larger, so the nested launch needs more
+        // footprint bits than the outer one.
+        let inner_points: Vec<Vec3> = (0..1500)
+            .map(|i| Vec3::new((i % 15) as f32, ((i / 15) % 10) as f32, (i / 150) as f32) * 0.7)
+            .collect();
+        let inner_gas =
+            Gas::build_from_points(&device, &inner_points, 0.8, BuildParams::default()).unwrap();
+        let inner = RangeProgram {
+            queries: inner_points.iter().step_by(40).copied().collect(),
+            points: inner_points.clone(),
+            radius: 0.8,
+            k: 1000,
+        };
+        let outer = || RangeProgram {
+            queries: (0..70)
+                .map(|i| Vec3::new((i % 7) as f32 * 1.1, (i / 7) as f32 * 0.7, 3.3))
+                .collect(),
+            points: points.clone(),
+            radius,
+            k: 1000,
+        };
+        for threads in [1, 2] {
+            rtnn_parallel::with_thread_count(threads, || {
+                let launch = |program: &NestingProgram| {
+                    Pipeline::new(&device).launch(&gas, 70, program, IsShaderKind::RangeSphereTest)
+                };
+                let alone = Pipeline::new(&device).launch(
+                    &inner_gas,
+                    inner.queries.len(),
+                    &inner,
+                    IsShaderKind::RangeSphereTest,
+                );
+                let plain = launch(&NestingProgram {
+                    outer: outer(),
+                    inner: None,
+                    device: &device,
+                });
+                let nesting = launch(&NestingProgram {
+                    outer: outer(),
+                    inner: Some((&inner_gas, &inner, &alone)),
+                    device: &device,
+                });
+                assert!(plain.metrics.is_calls > 0);
+                assert_eq!(nesting.metrics, plain.metrics, "{threads} threads");
+                assert_eq!(nesting.payloads, plain.payloads, "{threads} threads");
+            });
+        }
     }
 }

@@ -28,8 +28,8 @@ use crate::coalesce::TickExecutor;
 use rtnn::SearchError;
 use rtnn::{
     validate_queries, Backend, CostCoefficients, EngineConfig, Index, LaunchMetrics, PipelineTrace,
-    PlanSlice, QueryPlan, SearchParams, SearchResults, ShardMerge, StageKind, StageOverrides,
-    TimeBreakdown,
+    PlanError, PlanSlice, QueryPlan, SearchParams, SearchResults, ShardMerge, StageKind,
+    StageOverrides, TimeBreakdown,
 };
 use rtnn_math::{Aabb, Vec3};
 use rtnn_parallel::{par_map_collect, par_map_collect_mut};
@@ -115,6 +115,10 @@ pub struct ShardedIndex<'a> {
     /// The full cloud, in original id order (the merge recomputes exact
     /// shader distances against it).
     points: Vec<Vec3>,
+    /// The first point with a NaN or infinite coordinate, as a global id:
+    /// checked before any fan-out, so the error never names a shard-local
+    /// id.
+    non_finite_point: Option<usize>,
     last_timing: ShardTiming,
 }
 
@@ -163,6 +167,7 @@ impl<'a> ShardedIndex<'a> {
             shards,
             merge,
             points: points.to_vec(),
+            non_finite_point: points.iter().position(|p| !p.is_finite()),
             last_timing: ShardTiming::default(),
         }
     }
@@ -192,6 +197,15 @@ impl<'a> ShardedIndex<'a> {
         &self.last_timing
     }
 
+    /// Fail with [`PlanError::NonFinitePoint`], naming the global point
+    /// id, if an indexed point has a NaN or infinite coordinate.
+    fn validate_points(&self) -> Result<(), PlanError> {
+        match self.non_finite_point {
+            Some(point) => Err(PlanError::NonFinitePoint { point }),
+            None => Ok(()),
+        }
+    }
+
     /// Pre-build every structure `plan` demands on *all* shards
     /// concurrently ([`Index::warm`] fanned over the worker pool) — the
     /// cold-start path a serving layer runs before the first tick lands.
@@ -199,6 +213,7 @@ impl<'a> ShardedIndex<'a> {
     /// when everything was already cached); as with [`Index::warm`], each
     /// shard carries its share forward into its next query's breakdown.
     pub fn warm(&mut self, plan: &QueryPlan) -> Result<f64, SearchError> {
+        self.validate_points()?;
         let tel = Telemetry::current();
         let mut span = tel.as_ref().map(|t| t.span("shard.warm"));
         let outcomes = par_map_collect_mut(&mut self.shards, |_, shard| {
@@ -241,9 +256,10 @@ impl<'a> ShardedIndex<'a> {
     ) -> Result<SearchResults, SearchError> {
         let plan = plan.normalized();
         plan.validate(queries.len())?;
-        // Checked here, not only per shard, so the error names the
-        // caller's query index rather than a shard-local one.
+        // Checked here, not only per shard, so the errors name the
+        // caller's query and point indexes rather than shard-local ones.
         validate_queries(queries)?;
+        self.validate_points()?;
 
         // One query span over the whole fan-out + merge; the per-shard
         // spans synthesized below nest under it. Worker threads run

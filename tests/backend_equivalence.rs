@@ -19,6 +19,7 @@ use rtnn::{
 use rtnn_baselines::BruteForceBackend;
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
+use rtnn_serve::ShardedIndex;
 
 /// A seeded random cloud (no grid degeneracies, so float distance ties —
 /// the one thing that could legitimately differ between candidate visit
@@ -240,4 +241,44 @@ fn non_finite_queries_are_rejected_with_their_index_on_every_backend() {
         let got = index.query(&good, &plan).unwrap().neighbors;
         assert_eq!(&got, reference.get_or_insert_with(|| got.clone()), "{name}");
     }
+}
+
+#[test]
+fn non_finite_points_are_rejected_with_their_index_on_every_backend() {
+    // One non-finite point leaves the scene without finite bounds: the
+    // megacell grid used to collapse to a single partition for the whole
+    // index, silently. Every call on such an index now fails with a typed
+    // error naming the caller's point index, on every backend and through
+    // a sharded index too.
+    let device = Device::rtx_2080();
+    let cloud = seeded_cloud(500, 0x0DD_F00D);
+    let plans = [QueryPlan::knn(20.0, 4), QueryPlan::range(20.0, 64)];
+    let backends = all_backends(&device);
+    for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+        let mut points = cloud.clone();
+        points[123] = Vec3::new(50.0, bad, 50.0);
+        let want = SearchError::InvalidPlan(PlanError::NonFinitePoint { point: 123 });
+        for (name, backend) in &backends {
+            let mut index = Index::build(backend.as_ref(), &points[..], EngineConfig::default());
+            for plan in &plans {
+                let what = format!("{name}: {bad} in a {} call", plan.kind_label());
+                assert_eq!(index.warm(plan).unwrap_err(), want, "{what}");
+                assert_eq!(index.query(&cloud, plan).unwrap_err(), want, "{what}");
+            }
+            for shards in [1, 2, 5] {
+                let mut sharded =
+                    ShardedIndex::build(backend.as_ref(), &points, EngineConfig::default(), shards);
+                for plan in &plans {
+                    let what = format!("{name}, {shards} shards: {bad}");
+                    assert_eq!(sharded.warm(plan).unwrap_err(), want, "{what}");
+                    assert_eq!(sharded.query(&cloud, plan).unwrap_err(), want, "{what}");
+                }
+            }
+        }
+    }
+    // The same cloud without the bad point partitions as usual.
+    let backend = GpusimBackend::new(&device);
+    let mut index = Index::build(&backend, &cloud[..], EngineConfig::default());
+    let knn = index.query(&cloud, &plans[0]).unwrap();
+    assert!(knn.num_partitions > 1, "{} partitions", knn.num_partitions);
 }
