@@ -9,12 +9,12 @@
 //!
 //! There is one traversal core, [`Bvh::traverse_with`]. Besides the hit
 //! callback it takes a caller-owned stack, so a caller tracing many rays
-//! allocates none per ray, and a [`TraversalVisitor`] that is told every
-//! node index the ray tests and every leaf slot it scans, in visit order.
-//! The GPU simulator's visitor marks those ids into the warp's memory
-//! footprint as the ray goes. [`Bvh::traverse`] is the core with its own
-//! stack and no visitor: it counts work (node visits, primitive tests)
-//! for correctness tests and CPU oracles.
+//! allocates none per ray, and two visitors: one told every node index the
+//! ray tests and one told every leaf slot it scans, in visit order. The GPU
+//! simulator's visitors mark those ids into the warp's memory footprint as
+//! the ray goes. [`Bvh::traverse`] is the core with its own stack and no
+//! visitors: it counts work (node visits, primitive tests) for correctness
+//! tests and CPU oracles.
 
 use crate::node::{Bvh, NodeKind};
 use rtnn_math::Ray;
@@ -43,35 +43,6 @@ pub struct TraversalStats {
     pub terminated: bool,
 }
 
-impl TraversalStats {
-    /// Accumulate another ray's stats into this one.
-    pub fn merge(&mut self, other: &TraversalStats) {
-        self.nodes_visited += other.nodes_visited;
-        self.leaves_visited += other.leaves_visited;
-        self.prim_tests += other.prim_tests;
-        self.is_calls += other.is_calls;
-        self.terminated |= other.terminated;
-    }
-}
-
-/// Observer of the memory one traversal reads. Indices (not byte
-/// addresses) are reported; the simulator maps them onto its address
-/// space. `()` observes nothing.
-pub trait TraversalVisitor {
-    /// The ray tested the AABB of `Bvh::nodes[index]`.
-    fn node(&mut self, index: u32);
-    /// The ray tested the primitive in leaf slot `slot`, an index into
-    /// `Bvh::prim_indices`.
-    fn slot(&mut self, slot: u32);
-}
-
-impl TraversalVisitor for () {
-    #[inline]
-    fn node(&mut self, _: u32) {}
-    #[inline]
-    fn slot(&mut self, _: u32) {}
-}
-
 impl Bvh {
     /// Traverse the BVH with `ray`, invoking `on_hit(prim_id)` for every
     /// primitive whose AABB the ray intersects. Returns work counters.
@@ -79,21 +50,25 @@ impl Bvh {
     where
         F: FnMut(u32) -> TraversalControl,
     {
-        self.traverse_with(ray, &mut Vec::with_capacity(64), &mut (), on_hit)
+        self.traverse_with(ray, &mut Vec::with_capacity(64), |_| {}, |_| {}, on_hit)
     }
 
     /// The traversal core: as [`Bvh::traverse`], on the caller's `stack`
-    /// (cleared first; its capacity is kept), telling `visitor` every node
-    /// index tested and every leaf slot scanned, in visit order.
-    pub fn traverse_with<V, F>(
+    /// (cleared first; its capacity is kept), calling `on_node` with every
+    /// index into [`Bvh::nodes`] whose AABB the ray tests and `on_slot` with
+    /// every leaf slot (index into [`Bvh::prim_indices`]) whose primitive it
+    /// tests, in visit order.
+    pub fn traverse_with<N, S, F>(
         &self,
         ray: &Ray,
         stack: &mut Vec<u32>,
-        visitor: &mut V,
+        mut on_node: N,
+        mut on_slot: S,
         mut on_hit: F,
     ) -> TraversalStats
     where
-        V: TraversalVisitor + ?Sized,
+        N: FnMut(u32),
+        S: FnMut(u32),
         F: FnMut(u32) -> TraversalControl,
     {
         let mut stats = TraversalStats::default();
@@ -105,7 +80,7 @@ impl Bvh {
         'rays: while let Some(node_idx) = stack.pop() {
             let node = &self.nodes[node_idx as usize];
             stats.nodes_visited += 1;
-            visitor.node(node_idx);
+            on_node(node_idx);
             if !node.aabb.intersects_ray(ray) {
                 continue;
             }
@@ -119,7 +94,7 @@ impl Bvh {
                     for slot in start..start + count {
                         let prim_id = self.prim_indices[slot as usize];
                         stats.prim_tests += 1;
-                        visitor.slot(slot);
+                        on_slot(slot);
                         if self.prim_aabbs[prim_id as usize].intersects_ray(ray) {
                             stats.is_calls += 1;
                             if on_hit(prim_id) == TraversalControl::Terminate {
@@ -227,48 +202,40 @@ mod tests {
         assert!(!stats.terminated);
     }
 
-    /// Records every index a traversal reports, in order.
-    #[derive(Default)]
-    struct Recorder {
-        nodes: Vec<u32>,
-        slots: Vec<u32>,
-    }
-
-    impl TraversalVisitor for Recorder {
-        fn node(&mut self, index: u32) {
-            self.nodes.push(index);
-        }
-        fn slot(&mut self, slot: u32) {
-            self.slots.push(slot);
-        }
-    }
-
     #[test]
     fn visitor_records_every_visited_node() {
         let points = sample_points();
         let bvh = build_point_bvh(&points, 0.7, BuildParams::default());
         let probe = Ray::point_probe(Vec3::new(2.5, 2.5, 2.5));
         let mut stack = Vec::new();
-        let mut rec = Recorder::default();
-        let stats = bvh.traverse_with(&probe, &mut stack, &mut rec, |_| TraversalControl::Continue);
-        assert_eq!(rec.nodes.len() as u64, stats.nodes_visited);
-        assert_eq!(rec.slots.len() as u64, stats.prim_tests);
-        assert_eq!(rec.nodes[0], 0, "traversal starts at the root");
+        let (mut nodes, mut slots) = (Vec::new(), Vec::new());
+        let stats = bvh.traverse_with(
+            &probe,
+            &mut stack,
+            |n| nodes.push(n),
+            |s| slots.push(s),
+            |_| TraversalControl::Continue,
+        );
+        assert_eq!(nodes.len() as u64, stats.nodes_visited);
+        assert_eq!(slots.len() as u64, stats.prim_tests);
+        assert_eq!(nodes[0], 0, "traversal starts at the root");
         // Observing the traversal does not change it.
         assert_eq!(stats, bvh.traverse(&probe, |_| TraversalControl::Continue));
         // A ray terminated at its first hit leaves unvisited siblings on the
         // stack; reusing that stack starts from the root regardless.
-        bvh.traverse_with(&probe, &mut stack, &mut (), |_| TraversalControl::Terminate);
+        let terminate = |_| TraversalControl::Terminate;
+        bvh.traverse_with(&probe, &mut stack, |_| {}, |_| {}, terminate);
         assert!(!stack.is_empty());
-        let mut rec2 = Recorder::default();
+        let mut nodes2 = Vec::new();
         let stats2 = bvh.traverse_with(
             &Ray::point_probe(Vec3::new(-10.0, 0.0, 0.0)),
             &mut stack,
-            &mut rec2,
+            |n| nodes2.push(n),
+            |_| {},
             |_| TraversalControl::Continue,
         );
-        assert_eq!(rec2.nodes.len() as u64, stats2.nodes_visited);
-        assert_eq!(rec2.nodes, [0]);
+        assert_eq!(nodes2.len() as u64, stats2.nodes_visited);
+        assert_eq!(nodes2, [0]);
         assert_eq!(stats2.is_calls, 0);
     }
 
@@ -284,42 +251,24 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates() {
-        let mut a = TraversalStats {
-            nodes_visited: 1,
-            leaves_visited: 1,
-            prim_tests: 2,
-            is_calls: 1,
-            terminated: false,
-        };
-        let b = TraversalStats {
-            nodes_visited: 3,
-            leaves_visited: 1,
-            prim_tests: 4,
-            is_calls: 2,
-            terminated: true,
-        };
-        a.merge(&b);
-        assert_eq!(a.nodes_visited, 4);
-        assert_eq!(a.prim_tests, 6);
-        assert_eq!(a.is_calls, 3);
-        assert!(a.terminated);
-    }
-
-    #[test]
     fn coherent_queries_share_traversal_paths() {
         // Two nearby queries touch mostly the same nodes; two distant queries
         // do not. This is the microscopic fact behind Observation 1.
         let points = sample_points();
         let bvh = build_point_bvh(&points, 0.9, BuildParams::default());
         let trace_of = |q: Vec3| {
-            let mut rec = Recorder::default();
-            bvh.traverse_with(&Ray::point_probe(q), &mut Vec::new(), &mut rec, |_| {
-                TraversalControl::Continue
-            });
-            rec.nodes
-                .into_iter()
-                .collect::<std::collections::HashSet<_>>()
+            let mut nodes = std::collections::HashSet::new();
+            let probe = Ray::point_probe(q);
+            bvh.traverse_with(
+                &probe,
+                &mut Vec::new(),
+                |n| {
+                    nodes.insert(n);
+                },
+                |_| {},
+                |_| TraversalControl::Continue,
+            );
+            nodes
         };
         let a = trace_of(Vec3::new(1.0, 1.0, 1.0));
         let b = trace_of(Vec3::new(1.1, 1.05, 0.95));

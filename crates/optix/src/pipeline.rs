@@ -11,18 +11,15 @@
 //! shader time by the IS calls of all its lanes, and its memory traffic by
 //! the distinct cache lines it touches.
 //!
-//! The union is built while the rays traverse: the warp's `Footprint` is
-//! the traversal visitor, and it appends each node index and leaf slot to
-//! the warp's distinct lists the first time a membership bit for it is set.
-//! Charging then needs only the list sizes and the addresses of the listed
-//! ids, with no sort. Each host thread keeps its bits (one per node and
-//! per slot), the traversal stack and the address buffer for every warp it
-//! simulates, and clears only the bits its last warp set, so the accounting
-//! allocates nothing per ray or per warp.
+//! The union is built while the rays traverse: the traversal visitors add
+//! each node index and leaf slot to the warp's distinct lists the first
+//! time its membership bit is set, so charging needs no sort. Each host
+//! thread reuses its bits, stack and buffers for every warp it simulates,
+//! so the accounting allocates nothing per ray or per warp.
 
 use crate::gas::{Gas, NODE_BYTES, PRIM_BYTES};
 use crate::shader::{IsVerdict, RayProgram};
-use rtnn_bvh::{Bvh, TraversalControl, TraversalVisitor};
+use rtnn_bvh::{TraversalControl, TraversalStats};
 use rtnn_gpusim::kernel::{BVH_NODES_BASE, BVH_PRIMS_BASE};
 use rtnn_gpusim::{Device, IsShaderKind, KernelMetrics};
 use serde::{Deserialize, Serialize};
@@ -77,73 +74,48 @@ pub struct LaunchResult<P> {
     pub metrics: LaunchMetrics,
 }
 
-/// A warp's memory footprint: the distinct BVH node indices and primitive
-/// slots its rays read, in first-visit order, with one membership bit per
-/// node and per slot. Only the bits of the listed ids are ever set, so
-/// clearing costs the footprint's size, not the BVH's.
+/// Distinct ids in first-insertion order, with one membership bit per
+/// possible id. Only listed ids have their bit set, so clearing costs the
+/// list's length, not the id range.
 #[derive(Debug, Default)]
-struct Footprint {
-    node_bits: Vec<u64>,
-    slot_bits: Vec<u64>,
-    nodes: Vec<u32>,
-    slots: Vec<u32>,
+struct IdSet {
+    bits: Vec<u64>,
+    ids: Vec<u32>,
 }
 
-impl Footprint {
-    /// Make room for one bit per node and per slot of `bvh`.
-    fn fit(&mut self, bvh: &Bvh) {
-        let words = |n: usize| n.div_ceil(64);
-        if self.node_bits.len() < words(bvh.nodes.len()) {
-            self.node_bits.resize(words(bvh.nodes.len()), 0);
-        }
-        if self.slot_bits.len() < words(bvh.prim_indices.len()) {
-            self.slot_bits.resize(words(bvh.prim_indices.len()), 0);
+impl IdSet {
+    /// Make room for ids below `n`.
+    fn fit(&mut self, n: usize) {
+        if self.bits.len() < n.div_ceil(64) {
+            self.bits.resize(n.div_ceil(64), 0);
         }
     }
 
-    /// Empty the footprint for the next warp.
+    #[inline]
+    fn insert(&mut self, id: u32) {
+        let (word, bit) = (&mut self.bits[id as usize / 64], 1u64 << (id % 64));
+        if *word & bit == 0 {
+            *word |= bit;
+            self.ids.push(id);
+        }
+    }
+
     fn clear(&mut self) {
-        for (bits, ids) in [
-            (&mut self.node_bits, &mut self.nodes),
-            (&mut self.slot_bits, &mut self.slots),
-        ] {
-            for &id in ids.iter() {
-                bits[id as usize / 64] = 0;
-            }
-            ids.clear();
+        for &id in &self.ids {
+            self.bits[id as usize / 64] = 0;
         }
+        self.ids.clear();
     }
 }
 
-/// Add `id` to `ids` unless its bit is already set.
-#[inline]
-fn mark(bits: &mut [u64], ids: &mut Vec<u32>, id: u32) {
-    let word = &mut bits[id as usize / 64];
-    let bit = 1u64 << (id % 64);
-    if *word & bit == 0 {
-        *word |= bit;
-        ids.push(id);
-    }
-}
-
-impl TraversalVisitor for Footprint {
-    #[inline]
-    fn node(&mut self, index: u32) {
-        mark(&mut self.node_bits, &mut self.nodes, index);
-    }
-
-    #[inline]
-    fn slot(&mut self, slot: u32) {
-        mark(&mut self.slot_bits, &mut self.slots, slot);
-    }
-}
-
-/// Per-worker buffers of the launch path, reused across rays, warps and
-/// launches: the traversal stack, the warp footprint and its addresses.
+/// Per-thread buffers of the launch path, reused across rays and warps:
+/// the traversal stack, the warp's distinct node indices and leaf slots,
+/// and their addresses.
 #[derive(Debug, Default)]
 struct WarpScratch {
     stack: Vec<u32>,
-    footprint: Footprint,
+    nodes: IdSet,
+    slots: IdSet,
     addresses: Vec<u64>,
 }
 
@@ -161,11 +133,6 @@ impl<'d> Pipeline<'d> {
     /// Create a pipeline on `device`.
     pub fn new(device: &'d Device) -> Self {
         Pipeline { device }
-    }
-
-    /// The device this pipeline launches on.
-    pub fn device(&self) -> &Device {
-        self.device
     }
 
     /// Launch `num_rays` rays of `program` against `gas`.
@@ -187,10 +154,7 @@ impl<'d> Pipeline<'d> {
         #[derive(Default, Clone)]
         struct RayOutput<P> {
             payload: P,
-            node_visits: u64,
-            prim_tests: u64,
-            is_calls: u64,
-            terminated: bool,
+            stats: TraversalStats,
             hit: bool,
             active: bool,
         }
@@ -201,10 +165,12 @@ impl<'d> Pipeline<'d> {
             let mut scratch = SCRATCH.with(Cell::take);
             let WarpScratch {
                 stack,
-                footprint,
+                nodes,
+                slots,
                 addresses,
             } = &mut scratch;
-            footprint.fit(bvh);
+            nodes.fit(bvh.nodes.len());
+            slots.fit(bvh.prim_indices.len());
             let mut warp_results: Vec<RayOutput<P::Payload>> = Vec::with_capacity(range.len());
             let mut sum_lane_nodes = 0u64;
             let mut sum_lane_is = 0u64;
@@ -214,9 +180,11 @@ impl<'d> Pipeline<'d> {
                 if let Some((ray, mut payload)) = program.ray_gen(launch_index as u32) {
                     out.active = true;
                     let mut hit_any = false;
-                    let stats = bvh.traverse_with(&ray, stack, footprint, |prim_id| match program
-                        .intersection(launch_index as u32, prim_id, &mut payload)
-                    {
+                    let on_hit = |prim_id| match program.intersection(
+                        launch_index as u32,
+                        prim_id,
+                        &mut payload,
+                    ) {
                         IsVerdict::Ignore => TraversalControl::Continue,
                         IsVerdict::Accept => {
                             hit_any = true;
@@ -226,16 +194,16 @@ impl<'d> Pipeline<'d> {
                             hit_any = true;
                             TraversalControl::Terminate
                         }
-                    });
+                    };
+                    let on_node = |n| nodes.insert(n);
+                    let stats =
+                        bvh.traverse_with(&ray, stack, on_node, |s| slots.insert(s), on_hit);
                     if hit_any {
                         program.closest_hit(launch_index as u32, &mut payload);
                     } else {
                         program.miss(launch_index as u32, &mut payload);
                     }
-                    out.node_visits = stats.nodes_visited;
-                    out.prim_tests = stats.prim_tests;
-                    out.is_calls = stats.is_calls;
-                    out.terminated = stats.terminated;
+                    out.stats = stats;
                     out.hit = hit_any;
                     out.payload = payload;
 
@@ -245,15 +213,12 @@ impl<'d> Pipeline<'d> {
                 warp_results.push(out);
             }
 
-            // The warp's footprint holds each node and primitive slot once:
-            // traversal of a node shared by several rays in the warp is
-            // broadcast, so it is charged once.
-            let (union_nodes, union_prims) = (footprint.nodes.len(), footprint.slots.len());
-
             // RT-core work: one node test per distinct node, one AABB test per
-            // distinct primitive slot the warp scanned.
-            shard.charge_rt_node_tests(union_nodes as f64);
-            shard.charge_rt_prim_tests(union_prims as f64);
+            // distinct primitive slot the warp scanned. Traversal of a node
+            // shared by several rays in the warp is broadcast, so it is
+            // charged once.
+            shard.charge_rt_node_tests(nodes.ids.len() as f64);
+            shard.charge_rt_prim_tests(slots.ids.len() as f64);
             // SM shader work: IS invocations interrupt hardware traversal at
             // lane-specific points, so they are only partially SIMT-parallel;
             // every lane's IS calls are charged, packed `is_simt_width` wide.
@@ -264,25 +229,20 @@ impl<'d> Pipeline<'d> {
             // Their order does not matter: the shard coalesces them into
             // sorted distinct cache lines.
             addresses.clear();
-            addresses.extend(
-                footprint
-                    .nodes
-                    .iter()
-                    .map(|&n| BVH_NODES_BASE + n as u64 * NODE_BYTES),
-            );
-            addresses.extend(
-                footprint
-                    .slots
-                    .iter()
-                    .map(|&p| BVH_PRIMS_BASE + p as u64 * PRIM_BYTES),
-            );
+            for (ids, base, bytes) in [
+                (&nodes.ids, BVH_NODES_BASE, NODE_BYTES),
+                (&slots.ids, BVH_PRIMS_BASE, PRIM_BYTES),
+            ] {
+                addresses.extend(ids.iter().map(|&id| base + id as u64 * bytes));
+            }
             shard.access_warp_memory(addresses);
 
             // SIMT efficiency: useful lane-work over issued warp-work.
-            let issued = (union_nodes as f64).max(1e-9) * warp_size;
+            let issued = (nodes.ids.len() as f64).max(1e-9) * warp_size;
             shard.note_simt_work(sum_lane_nodes as f64, issued);
 
-            footprint.clear();
+            nodes.clear();
+            slots.clear();
             SCRATCH.with(|cell| cell.set(scratch));
             warp_results
         });
@@ -294,10 +254,10 @@ impl<'d> Pipeline<'d> {
         let mut payloads = Vec::with_capacity(outputs.len());
         for out in outputs {
             metrics.active_rays += out.active as u64;
-            metrics.node_visits += out.node_visits;
-            metrics.prim_tests += out.prim_tests;
-            metrics.is_calls += out.is_calls;
-            metrics.terminated_rays += out.terminated as u64;
+            metrics.node_visits += out.stats.nodes_visited;
+            metrics.prim_tests += out.stats.prim_tests;
+            metrics.is_calls += out.stats.is_calls;
+            metrics.terminated_rays += out.stats.terminated as u64;
             metrics.hit_rays += out.hit as u64;
             payloads.push(out.payload);
         }
