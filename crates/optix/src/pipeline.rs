@@ -180,24 +180,27 @@ impl<'d> Pipeline<'d> {
                 if let Some((ray, mut payload)) = program.ray_gen(launch_index as u32) {
                     out.active = true;
                     let mut hit_any = false;
-                    let on_hit = |prim_id| match program.intersection(
-                        launch_index as u32,
-                        prim_id,
-                        &mut payload,
-                    ) {
-                        IsVerdict::Ignore => TraversalControl::Continue,
-                        IsVerdict::Accept => {
-                            hit_any = true;
-                            TraversalControl::Continue
-                        }
-                        IsVerdict::AcceptAndTerminate => {
-                            hit_any = true;
-                            TraversalControl::Terminate
-                        }
-                    };
-                    let on_node = |n| nodes.insert(n);
-                    let stats =
-                        bvh.traverse_with(&ray, stack, on_node, |s| slots.insert(s), on_hit);
+                    let stats = bvh.traverse_with(
+                        &ray,
+                        stack,
+                        |n| nodes.insert(n),
+                        |s| slots.insert(s),
+                        |prim_id| match program.intersection(
+                            launch_index as u32,
+                            prim_id,
+                            &mut payload,
+                        ) {
+                            IsVerdict::Ignore => TraversalControl::Continue,
+                            IsVerdict::Accept => {
+                                hit_any = true;
+                                TraversalControl::Continue
+                            }
+                            IsVerdict::AcceptAndTerminate => {
+                                hit_any = true;
+                                TraversalControl::Terminate
+                            }
+                        },
+                    );
                     if hit_any {
                         program.closest_hit(launch_index as u32, &mut payload);
                     } else {

@@ -205,8 +205,8 @@ fn golden_hash(device: &Device) -> u64 {
     hash.0
 }
 
-/// Recorded before the launch path stamped warp footprints during
-/// traversal; every change since must reproduce it unedited.
+/// A change to traversal or accounting that keeps results and simulated
+/// metrics must reproduce this unedited.
 const GOLDEN_LAUNCH_METRICS: u64 = 0x413E_7324_5D3C_50DF;
 
 #[test]
