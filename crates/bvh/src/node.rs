@@ -88,6 +88,17 @@ impl Bvh {
         self.nodes.first().map(|n| n.aabb).unwrap_or(Aabb::EMPTY)
     }
 
+    /// The primitive ids stored in a leaf node.
+    #[inline]
+    pub fn leaf_primitives(&self, node: &BvhNode) -> &[u32] {
+        match node.kind {
+            NodeKind::Leaf { start, count } => {
+                &self.prim_indices[start as usize..(start + count) as usize]
+            }
+            NodeKind::Internal { .. } => &[],
+        }
+    }
+
     /// Depth of the tree (root = 1). Returns 0 for an empty BVH.
     pub fn depth(&self) -> usize {
         fn rec(bvh: &Bvh, node: usize) -> usize {
@@ -133,5 +144,19 @@ mod tests {
         };
         assert!(leaf.is_leaf());
         assert!(!internal.is_leaf());
+    }
+
+    #[test]
+    fn leaf_primitive_slicing() {
+        let bvh = Bvh {
+            nodes: vec![BvhNode {
+                aabb: Aabb::cube(Vec3::ZERO, 1.0),
+                kind: NodeKind::Leaf { start: 1, count: 2 },
+            }],
+            prim_indices: vec![5, 7, 9, 11],
+            prim_aabbs: vec![Aabb::cube(Vec3::ZERO, 1.0); 12],
+            max_leaf_size: 4,
+        };
+        assert_eq!(bvh.leaf_primitives(&bvh.nodes[0]), &[7, 9]);
     }
 }

@@ -43,6 +43,17 @@ pub struct TraversalStats {
     pub terminated: bool,
 }
 
+impl TraversalStats {
+    /// Accumulate another ray's stats into this one.
+    pub fn merge(&mut self, other: &TraversalStats) {
+        self.nodes_visited += other.nodes_visited;
+        self.leaves_visited += other.leaves_visited;
+        self.prim_tests += other.prim_tests;
+        self.is_calls += other.is_calls;
+        self.terminated |= other.terminated;
+    }
+}
+
 impl Bvh {
     /// Traverse the BVH with `ray`, invoking `on_hit(prim_id)` for every
     /// primitive whose AABB the ray intersects. Returns work counters.
@@ -248,6 +259,29 @@ mod tests {
         });
         assert_eq!(stats.nodes_visited, 1);
         assert_eq!(stats.is_calls, 0);
+    }
+
+    #[test]
+    fn merge_accumulates() {
+        let mut a = TraversalStats {
+            nodes_visited: 1,
+            leaves_visited: 1,
+            prim_tests: 2,
+            is_calls: 1,
+            terminated: false,
+        };
+        let b = TraversalStats {
+            nodes_visited: 3,
+            leaves_visited: 1,
+            prim_tests: 4,
+            is_calls: 2,
+            terminated: true,
+        };
+        a.merge(&b);
+        assert_eq!(a.nodes_visited, 4);
+        assert_eq!(a.prim_tests, 6);
+        assert_eq!(a.is_calls, 3);
+        assert!(a.terminated);
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::pipeline::{
     empty_results, host_ms_since, ExecutionPipeline, GatheredHits, OptLevel, PipelineTrace,
     StageKind, StageOverrides,
 };
-use crate::plan::{validate_queries, PlanError, QueryPlan, SearchError};
+use crate::plan::{validate_points, validate_queries, PlanError, QueryPlan, SearchError};
 use crate::result::{SearchParams, SearchResults, TimeBreakdown};
 use rtnn_bvh::BuildParams;
 use rtnn_gpusim::kernel::point_cloud_bytes;
@@ -293,10 +293,9 @@ pub struct Index<'a> {
     cache_params: Option<SearchParams>,
     dirty_region: Aabb,
     pending_structure_ms: f64,
-    /// The first point with a NaN or infinite coordinate, found once at
-    /// build: while there is one, every query and warm-up fails with
-    /// [`PlanError::NonFinitePoint`].
-    non_finite_point: Option<usize>,
+    /// [`validate_points`] over the points, run once at build: while it is
+    /// an error, every query and warm-up fails with it.
+    point_check: Result<(), PlanError>,
     /// Installed by [`Index::enable_auto`] or [`Index::set_tuner`]; while
     /// present, every call without explicit overrides is tuned.
     tuner: Option<AutoTuner>,
@@ -308,8 +307,8 @@ impl<'a> Index<'a> {
     /// Build an index over `points` on `backend`. Structures are built
     /// lazily — each AABB width the plans demand is built on first use and
     /// cached — so construction is cheap; validation happens at
-    /// [`query`](Self::query) time. The points are scanned once here for
-    /// non-finite coordinates, which every later call then reports.
+    /// [`query`](Self::query) time. The points are scanned once here
+    /// ([`validate_points`]); a non-finite one fails every later call.
     pub fn build(
         backend: &'a dyn Backend,
         points: impl Into<Cow<'a, [Vec3]>>,
@@ -317,10 +316,18 @@ impl<'a> Index<'a> {
     ) -> Self {
         let points = points.into();
         Index {
+            point_check: validate_points(&points),
+            ..Index::unchecked(backend, points, config)
+        }
+    }
+
+    /// An index over `points` that takes them to be finite without a scan.
+    fn unchecked(backend: &'a dyn Backend, points: Cow<'a, [Vec3]>, config: EngineConfig) -> Self {
+        Index {
             backend,
             config,
-            non_finite_point: points.iter().position(|p| !p.is_finite()),
             points,
+            point_check: Ok(()),
             store: AccelStore::new(),
             grid: GridSlot::Unbuilt,
             cache: None,
@@ -335,14 +342,17 @@ impl<'a> Index<'a> {
     /// Adopt scene state maintained by a caller across query rounds (the
     /// streaming contract): the caller guarantees `scene.accel` covers
     /// `points` at their current positions and that a supplied grid was
-    /// built/refreshed over them.
+    /// built/refreshed over them, and that the points are finite: no scan
+    /// is made here, because the adopter runs once per frame (a
+    /// `DynamicIndex` tracks its non-finite points as they are inserted
+    /// and moved, and rejects a frame before adopting anything).
     pub fn adopt(
         backend: &'a dyn Backend,
         points: &'a [Vec3],
         config: EngineConfig,
         scene: AdoptedScene<'a>,
     ) -> Self {
-        let mut index = Index::build(backend, points, config);
+        let mut index = Index::unchecked(backend, Cow::Borrowed(points), config);
         index.store.adopt(scene.accel);
         if let Some(g) = scene.grid {
             index.grid = GridSlot::Shared(g);
@@ -424,15 +434,6 @@ impl<'a> Index<'a> {
         self.last_decision
     }
 
-    /// Fail with [`PlanError::NonFinitePoint`] if an indexed point has a
-    /// NaN or infinite coordinate.
-    fn validate_points(&self) -> Result<(), PlanError> {
-        match self.non_finite_point {
-            Some(point) => Err(PlanError::NonFinitePoint { point }),
-            None => Ok(()),
-        }
-    }
-
     /// Pre-build every structure (and the megacell grid) that `plan` would
     /// demand, without running any queries — the cold-start path a serving
     /// layer runs before the first request lands. Distinct AABB widths
@@ -454,7 +455,7 @@ impl<'a> Index<'a> {
             QueryPlan::Batch(slices) => slices.iter().try_for_each(|s| s.plan.validate(0))?,
             single => single.validate(0)?,
         }
-        self.validate_points()?;
+        self.point_check.clone()?;
         // Warm-up provisions what the default (full) pipeline demands: the
         // coherence schedule's widest structure, one structure per slice
         // width, and the megacell grid.
@@ -477,9 +478,9 @@ impl<'a> Index<'a> {
     /// The plan is normalized ([`QueryPlan::normalized`]: nested batches
     /// flattened, same-parameter slices merged) and then validated
     /// ([`PlanError`] names the offending field), and so are the queries
-    /// ([`validate_queries`]: a NaN or infinite coordinate fails the call),
-    /// and so does an index holding a non-finite point
-    /// ([`PlanError::NonFinitePoint`]).
+    /// ([`validate_queries`]: a NaN or infinite coordinate fails the call);
+    /// an index holding a non-finite point fails every call with
+    /// [`PlanError::NonFinitePoint`] ([`validate_points`], run at build).
     ///
     /// Every plan runs through one driver as its `(params, query ids)`
     /// slices ([`QueryPlan::slices`]): a `Knn` or `Range` plan is one slice
@@ -518,7 +519,7 @@ impl<'a> Index<'a> {
         let plan = plan.normalized();
         plan.validate(queries.len())?;
         validate_queries(queries)?;
-        self.validate_points()?;
+        self.point_check.clone()?;
         let kind = plan.as_ref().kind_label();
         let tel = Telemetry::current();
         let mut query_span = tel.as_ref().map(|t| {

@@ -86,7 +86,7 @@ pub use index::{AdoptedScene, EngineConfig, Index};
 pub use megacell::{GridRefresh, MegacellGrid, MegacellResult};
 pub use partition::{KnnAabbRule, MegacellCache, Partition, PartitionSet};
 pub use pipeline::{OptLevel, PipelineTrace, StageKind, StageOverrides, StageTiming};
-pub use plan::{validate_queries, PlanError, PlanSlice, QueryPlan, SearchError};
+pub use plan::{validate_points, validate_queries, PlanError, PlanSlice, QueryPlan, SearchError};
 pub use result::{SearchMode, SearchParams, SearchResults, ShardMerge, TimeBreakdown};
 pub use rtnn_gpusim::StructureTiming;
 pub use rtnn_optix::LaunchMetrics;

@@ -397,6 +397,17 @@ pub fn validate_queries(queries: &[Vec3]) -> Result<(), PlanError> {
     }
 }
 
+/// Reject a point cloud holding a NaN or infinite coordinate, naming the
+/// first offending point: such a cloud has no finite bounds to grid, so no
+/// query against it is answered. Indexes run this once, when they are
+/// built, and report its verdict from every later call.
+pub fn validate_points(points: &[Vec3]) -> Result<(), PlanError> {
+    match points.iter().position(|p| !p.is_finite()) {
+        Some(point) => Err(PlanError::NonFinitePoint { point }),
+        None => Ok(()),
+    }
+}
+
 fn has_duplicate_ids(slices: &[PlanSlice]) -> bool {
     let mut seen = std::collections::HashSet::new();
     slices

@@ -5,7 +5,7 @@
 use crate::policy::RebuildPolicy;
 use rtnn::{
     Accel, AdoptedScene, AutoTuner, Backend, CostCoefficients, EngineConfig, GpusimBackend, Index,
-    MegacellCache, MegacellGrid, QueryPlan, SearchError, SearchParams, SearchResults,
+    MegacellCache, MegacellGrid, PlanError, QueryPlan, SearchError, SearchParams, SearchResults,
     StageOverrides, TunerDecision,
 };
 use rtnn_bvh::SahMonitor;
@@ -153,6 +153,11 @@ pub struct DynamicIndex<'d> {
     slot_to_compact: Vec<u32>,
     membership_dirty: bool,
     moved_slots: BTreeSet<u32>,
+    /// Handles of live points with a NaN or infinite coordinate, kept up
+    /// to date by every mutation: while one exists, every frame fails with
+    /// [`PlanError::NonFinitePoint`] naming the smallest, before any
+    /// maintenance runs.
+    non_finite: BTreeSet<u32>,
     /// Structure state (None until the first search).
     accel: Option<Accel>,
     monitor: Option<SahMonitor>,
@@ -234,6 +239,7 @@ impl<'d> DynamicIndex<'d> {
             slot_to_compact: Vec::new(),
             membership_dirty: false,
             moved_slots: BTreeSet::new(),
+            non_finite: BTreeSet::new(),
             accel: None,
             monitor: None,
             grid: None,
@@ -269,6 +275,7 @@ impl<'d> DynamicIndex<'d> {
         self.live.push(true);
         self.num_live += 1;
         self.membership_dirty = true;
+        self.track_finiteness(handle, p);
         handle
     }
 
@@ -281,6 +288,7 @@ impl<'d> DynamicIndex<'d> {
                 self.num_live -= 1;
                 self.membership_dirty = true;
                 self.moved_slots.remove(&handle);
+                self.non_finite.remove(&handle);
                 true
             }
             _ => false,
@@ -294,9 +302,30 @@ impl<'d> DynamicIndex<'d> {
             Some(true) => {
                 self.positions[handle as usize] = p;
                 self.moved_slots.insert(handle);
+                self.track_finiteness(handle, p);
                 true
             }
             _ => false,
+        }
+    }
+
+    /// Record whether live point `handle` now sits at a non-finite `p`.
+    fn track_finiteness(&mut self, handle: u32, p: Vec3) {
+        if p.is_finite() {
+            self.non_finite.remove(&handle);
+        } else {
+            self.non_finite.insert(handle);
+        }
+    }
+
+    /// Fail with [`PlanError::NonFinitePoint`], naming the smallest handle,
+    /// while a live point has a non-finite coordinate.
+    fn validate_points(&self) -> Result<(), PlanError> {
+        match self.non_finite.first() {
+            Some(&handle) => Err(PlanError::NonFinitePoint {
+                point: handle as usize,
+            }),
+            None => Ok(()),
         }
     }
 
@@ -388,6 +417,9 @@ impl<'d> DynamicIndex<'d> {
     /// refresh / rebuild, as the state and policy demand), then searches
     /// through a per-frame [`Index`] view adopting them. Neighbor ids in
     /// the returned results are stable point handles.
+    /// A live point with a NaN or infinite coordinate fails the frame with
+    /// [`PlanError::NonFinitePoint`] naming its handle, before any
+    /// maintenance runs.
     ///
     /// Because the frame searches through an adopted [`Index`] view, every
     /// frame query also feeds the ambient sink's continuous profiler (when
@@ -399,9 +431,10 @@ impl<'d> DynamicIndex<'d> {
         queries: &[Vec3],
         overrides: StageOverrides<'_>,
     ) -> Result<FrameResult, SearchError> {
-        // Reject bad queries before any maintenance runs: a frame that
-        // fails here has changed no state.
+        // Reject bad queries and points before any maintenance runs: a
+        // frame that fails here has changed no state.
         rtnn::validate_queries(queries)?;
+        self.validate_points()?;
         let tel = rtnn_telemetry::Telemetry::current();
         let mut frame_span = tel.as_ref().map(|t| t.span("dynamic.frame"));
         if let Some(t) = &tel {
@@ -433,7 +466,16 @@ impl<'d> DynamicIndex<'d> {
         };
         drop(view);
         self.tuner = self.tuner.take().or(tuner);
-        let results = results?;
+        let results = match results {
+            Ok(results) => results,
+            Err(e) => {
+                // The failed view reported nothing: the next frame bills
+                // the drained maintenance cost instead.
+                self.pending_structure_ms += structure_ms;
+                self.pending_host_structure_ms += host_structure_ms;
+                return Err(e);
+            }
+        };
         self.last_decision = decision.or(self.last_decision);
         let ran = decision.map_or(overrides, |d| d.overrides());
 
@@ -498,8 +540,10 @@ impl<'d> DynamicIndex<'d> {
     /// to the view's queries: it stays pending and is reported (simulated
     /// and host) by the next [`search`](Self::search) frame, so a view that
     /// is dropped without a query loses no accounting. View queries are not
-    /// recorded in [`frame_metrics`](Self::frame_metrics).
+    /// recorded in [`frame_metrics`](Self::frame_metrics). A non-finite
+    /// live point fails this call as it fails a frame.
     pub fn as_index(&mut self) -> Result<FrameIndex<'_>, SearchError> {
+        self.validate_points()?;
         let sync = self.sync_structures()?;
         Ok(self.frame_view(sync.dirty_region, 0.0))
     }
@@ -771,6 +815,63 @@ mod tests {
         assert_eq!(index.frame_metrics().frames, 3);
         assert_eq!(index.frame_metrics().rebuilds, 1);
         assert_eq!(index.frame_metrics().refits, 1);
+    }
+
+    #[test]
+    fn a_non_finite_point_fails_frames_by_handle_and_loses_no_structure_cost() {
+        let device = Device::rtx_2080();
+        let points = jittered_block(5, 0.5);
+        let params = SearchParams::knn(1.2, 8);
+        let queries: Vec<Vec3> = points.iter().step_by(3).copied().collect();
+        let far = Vec3::new(0.3, 0.4, 0.5);
+        // Both indexes build once through a view that is dropped unqueried,
+        // leaving that cost pending, then gain a point and lose handle 3.
+        let run = |detour: bool| {
+            let mut index =
+                DynamicIndex::with_points(&device, EngineConfig::default(), params, &points);
+            drop(index.as_index().unwrap());
+            index.remove(3);
+            let bad = index.insert(if detour {
+                Vec3::new(f32::INFINITY, 0.0, 0.0)
+            } else {
+                far
+            });
+            if detour {
+                // Handle `bad` is compact position `bad - 1` after the
+                // removal: the error names the handle.
+                let want = SearchError::InvalidPlan(PlanError::NonFinitePoint {
+                    point: bad as usize,
+                });
+                assert_eq!(index.search(&queries).err(), Some(want.clone()));
+                assert_eq!(index.as_index().err(), Some(want.clone()));
+                // The smallest offending handle is named.
+                index.move_point(2, Vec3::new(0.1, f32::NAN, 0.0));
+                let first = SearchError::InvalidPlan(PlanError::NonFinitePoint { point: 2 });
+                assert_eq!(index.search(&queries).err(), Some(first));
+                index.move_point(2, points[2]);
+                assert_eq!(index.search(&queries).err(), Some(want));
+                assert_eq!(index.frame_metrics().frames, 0);
+                index.move_point(bad, far);
+            } else {
+                index.move_point(2, points[2]);
+            }
+            index.search(&queries).unwrap()
+        };
+        let (clean, recovered) = (run(false), run(true));
+        // The recovered frame bills the view's build and its own rebuild,
+        // exactly as the frame that never held a bad point.
+        assert_eq!(recovered.action, StructureAction::Rebuilt);
+        assert!(recovered.structure_ms > 0.0);
+        assert_eq!(recovered.structure_ms, clean.structure_ms);
+        assert_eq!(recovered.results.neighbors, clean.results.neighbors);
+
+        // Removing the offending point clears it.
+        let mut index =
+            DynamicIndex::with_points(&device, EngineConfig::default(), params, &points);
+        let bad = index.insert(Vec3::new(0.0, f32::NEG_INFINITY, 0.0));
+        assert!(index.search(&queries).is_err());
+        index.remove(bad);
+        assert!(index.search(&queries).is_ok());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use crate::gas::{Gas, NODE_BYTES, PRIM_BYTES};
 use crate::shader::{IsVerdict, RayProgram};
-use rtnn_bvh::{TraversalControl, TraversalStats};
+use rtnn_bvh::TraversalControl;
 use rtnn_gpusim::kernel::{BVH_NODES_BASE, BVH_PRIMS_BASE};
 use rtnn_gpusim::{Device, IsShaderKind, KernelMetrics};
 use serde::{Deserialize, Serialize};
@@ -86,9 +86,7 @@ struct IdSet {
 impl IdSet {
     /// Make room for ids below `n`.
     fn fit(&mut self, n: usize) {
-        if self.bits.len() < n.div_ceil(64) {
-            self.bits.resize(n.div_ceil(64), 0);
-        }
+        self.bits.resize(self.bits.len().max(n.div_ceil(64)), 0);
     }
 
     #[inline]
@@ -135,6 +133,11 @@ impl<'d> Pipeline<'d> {
         Pipeline { device }
     }
 
+    /// The device this pipeline launches on.
+    pub fn device(&self) -> &Device {
+        self.device
+    }
+
     /// Launch `num_rays` rays of `program` against `gas`.
     ///
     /// `is_kind` selects the simulated cost of each IS invocation (range
@@ -150,78 +153,59 @@ impl<'d> Pipeline<'d> {
         let bvh = gas.bvh();
         let warp_size = self.device.config().warp_size as f64;
 
-        // Per-ray outputs produced inside the warp closure.
-        #[derive(Default, Clone)]
-        struct RayOutput<P> {
-            payload: P,
-            stats: TraversalStats,
-            hit: bool,
-            active: bool,
-        }
-
         let (outputs, kernel) = self.device.run_warps(num_rays, |range, shard| {
             // Taken for the warp and put back after it, so a program that
             // re-enters `launch` from a shader starts from fresh scratch.
             let mut scratch = SCRATCH.with(Cell::take);
-            let WarpScratch {
-                stack,
-                nodes,
-                slots,
-                addresses,
-            } = &mut scratch;
-            nodes.fit(bvh.nodes.len());
-            slots.fit(bvh.prim_indices.len());
-            let mut warp_results: Vec<RayOutput<P::Payload>> = Vec::with_capacity(range.len());
+            scratch.nodes.fit(bvh.nodes.len());
+            scratch.slots.fit(bvh.prim_indices.len());
+            // Per ray: its payload, work counters and whether it hit; `None`
+            // for a lane the RG shader masked.
+            let mut warp_results = Vec::with_capacity(range.len());
             let mut sum_lane_nodes = 0u64;
             let mut sum_lane_is = 0u64;
 
             for launch_index in range.clone() {
-                let mut out = RayOutput::<P::Payload>::default();
-                if let Some((ray, mut payload)) = program.ray_gen(launch_index as u32) {
-                    out.active = true;
-                    let mut hit_any = false;
-                    let stats = bvh.traverse_with(
-                        &ray,
-                        stack,
-                        |n| nodes.insert(n),
-                        |s| slots.insert(s),
-                        |prim_id| match program.intersection(
-                            launch_index as u32,
-                            prim_id,
-                            &mut payload,
-                        ) {
-                            IsVerdict::Ignore => TraversalControl::Continue,
-                            IsVerdict::Accept => {
-                                hit_any = true;
-                                TraversalControl::Continue
-                            }
-                            IsVerdict::AcceptAndTerminate => {
-                                hit_any = true;
-                                TraversalControl::Terminate
-                            }
-                        },
-                    );
-                    if hit_any {
-                        program.closest_hit(launch_index as u32, &mut payload);
-                    } else {
-                        program.miss(launch_index as u32, &mut payload);
-                    }
-                    out.stats = stats;
-                    out.hit = hit_any;
-                    out.payload = payload;
-
-                    sum_lane_nodes += stats.nodes_visited;
-                    sum_lane_is += stats.is_calls;
+                let Some((ray, mut payload)) = program.ray_gen(launch_index as u32) else {
+                    warp_results.push(None);
+                    continue;
+                };
+                let mut hit = false;
+                let stats = bvh.traverse_with(
+                    &ray,
+                    &mut scratch.stack,
+                    |n| scratch.nodes.insert(n),
+                    |s| scratch.slots.insert(s),
+                    |prim_id| match program.intersection(launch_index as u32, prim_id, &mut payload)
+                    {
+                        IsVerdict::Ignore => TraversalControl::Continue,
+                        IsVerdict::Accept => {
+                            hit = true;
+                            TraversalControl::Continue
+                        }
+                        IsVerdict::AcceptAndTerminate => {
+                            hit = true;
+                            TraversalControl::Terminate
+                        }
+                    },
+                );
+                if hit {
+                    program.closest_hit(launch_index as u32, &mut payload);
+                } else {
+                    program.miss(launch_index as u32, &mut payload);
                 }
-                warp_results.push(out);
+                sum_lane_nodes += stats.nodes_visited;
+                sum_lane_is += stats.is_calls;
+                warp_results.push(Some((payload, stats, hit)));
             }
 
             // RT-core work: one node test per distinct node, one AABB test per
             // distinct primitive slot the warp scanned. Traversal of a node
             // shared by several rays in the warp is broadcast, so it is
             // charged once.
-            shard.charge_rt_node_tests(nodes.ids.len() as f64);
-            shard.charge_rt_prim_tests(slots.ids.len() as f64);
+            let (nodes, slots) = (&scratch.nodes.ids, &scratch.slots.ids);
+            shard.charge_rt_node_tests(nodes.len() as f64);
+            shard.charge_rt_prim_tests(slots.len() as f64);
             // SM shader work: IS invocations interrupt hardware traversal at
             // lane-specific points, so they are only partially SIMT-parallel;
             // every lane's IS calls are charged, packed `is_simt_width` wide.
@@ -231,21 +215,22 @@ impl<'d> Pipeline<'d> {
             // Memory traffic: BVH nodes and primitive records the warp read.
             // Their order does not matter: the shard coalesces them into
             // sorted distinct cache lines.
+            let addresses = &mut scratch.addresses;
             addresses.clear();
             for (ids, base, bytes) in [
-                (&nodes.ids, BVH_NODES_BASE, NODE_BYTES),
-                (&slots.ids, BVH_PRIMS_BASE, PRIM_BYTES),
+                (nodes, BVH_NODES_BASE, NODE_BYTES),
+                (slots, BVH_PRIMS_BASE, PRIM_BYTES),
             ] {
                 addresses.extend(ids.iter().map(|&id| base + id as u64 * bytes));
             }
             shard.access_warp_memory(addresses);
 
             // SIMT efficiency: useful lane-work over issued warp-work.
-            let issued = (nodes.ids.len() as f64).max(1e-9) * warp_size;
+            let issued = (nodes.len() as f64).max(1e-9) * warp_size;
             shard.note_simt_work(sum_lane_nodes as f64, issued);
 
-            nodes.clear();
-            slots.clear();
+            scratch.nodes.clear();
+            scratch.slots.clear();
             SCRATCH.with(|cell| cell.set(scratch));
             warp_results
         });
@@ -256,13 +241,17 @@ impl<'d> Pipeline<'d> {
         };
         let mut payloads = Vec::with_capacity(outputs.len());
         for out in outputs {
-            metrics.active_rays += out.active as u64;
-            metrics.node_visits += out.stats.nodes_visited;
-            metrics.prim_tests += out.stats.prim_tests;
-            metrics.is_calls += out.stats.is_calls;
-            metrics.terminated_rays += out.stats.terminated as u64;
-            metrics.hit_rays += out.hit as u64;
-            payloads.push(out.payload);
+            let Some((payload, stats, hit)) = out else {
+                payloads.push(P::Payload::default());
+                continue;
+            };
+            metrics.active_rays += 1;
+            metrics.node_visits += stats.nodes_visited;
+            metrics.prim_tests += stats.prim_tests;
+            metrics.is_calls += stats.is_calls;
+            metrics.terminated_rays += stats.terminated as u64;
+            metrics.hit_rays += hit as u64;
+            payloads.push(payload);
         }
         LaunchResult { payloads, metrics }
     }

@@ -27,9 +27,9 @@
 use crate::coalesce::TickExecutor;
 use rtnn::SearchError;
 use rtnn::{
-    validate_queries, Backend, CostCoefficients, EngineConfig, Index, LaunchMetrics, PipelineTrace,
-    PlanError, PlanSlice, QueryPlan, SearchParams, SearchResults, ShardMerge, StageKind,
-    StageOverrides, TimeBreakdown,
+    validate_points, validate_queries, Backend, CostCoefficients, EngineConfig, Index,
+    LaunchMetrics, PipelineTrace, PlanError, PlanSlice, QueryPlan, SearchParams, SearchResults,
+    ShardMerge, StageKind, StageOverrides, TimeBreakdown,
 };
 use rtnn_math::{Aabb, Vec3};
 use rtnn_parallel::{par_map_collect, par_map_collect_mut};
@@ -115,10 +115,10 @@ pub struct ShardedIndex<'a> {
     /// The full cloud, in original id order (the merge recomputes exact
     /// shader distances against it).
     points: Vec<Vec3>,
-    /// The first point with a NaN or infinite coordinate, as a global id:
-    /// checked before any fan-out, so the error never names a shard-local
-    /// id.
-    non_finite_point: Option<usize>,
+    /// [`validate_points`] over the whole cloud, run once at build and
+    /// checked before any fan-out, so the error names the caller's point
+    /// index, never a shard-local one.
+    point_check: Result<(), PlanError>,
     last_timing: ShardTiming,
 }
 
@@ -167,7 +167,7 @@ impl<'a> ShardedIndex<'a> {
             shards,
             merge,
             points: points.to_vec(),
-            non_finite_point: points.iter().position(|p| !p.is_finite()),
+            point_check: validate_points(points),
             last_timing: ShardTiming::default(),
         }
     }
@@ -197,15 +197,6 @@ impl<'a> ShardedIndex<'a> {
         &self.last_timing
     }
 
-    /// Fail with [`PlanError::NonFinitePoint`], naming the global point
-    /// id, if an indexed point has a NaN or infinite coordinate.
-    fn validate_points(&self) -> Result<(), PlanError> {
-        match self.non_finite_point {
-            Some(point) => Err(PlanError::NonFinitePoint { point }),
-            None => Ok(()),
-        }
-    }
-
     /// Pre-build every structure `plan` demands on *all* shards
     /// concurrently ([`Index::warm`] fanned over the worker pool) — the
     /// cold-start path a serving layer runs before the first tick lands.
@@ -213,7 +204,7 @@ impl<'a> ShardedIndex<'a> {
     /// when everything was already cached); as with [`Index::warm`], each
     /// shard carries its share forward into its next query's breakdown.
     pub fn warm(&mut self, plan: &QueryPlan) -> Result<f64, SearchError> {
-        self.validate_points()?;
+        self.point_check.clone()?;
         let tel = Telemetry::current();
         let mut span = tel.as_ref().map(|t| t.span("shard.warm"));
         let outcomes = par_map_collect_mut(&mut self.shards, |_, shard| {
@@ -259,7 +250,7 @@ impl<'a> ShardedIndex<'a> {
         // Checked here, not only per shard, so the errors name the
         // caller's query and point indexes rather than shard-local ones.
         validate_queries(queries)?;
-        self.validate_points()?;
+        self.point_check.clone()?;
 
         // One query span over the whole fan-out + merge; the per-shard
         // spans synthesized below nest under it. Worker threads run
